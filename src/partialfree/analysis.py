@@ -13,6 +13,14 @@ detect anything at practical sample counts).
 The order-p difference is then localized to individual cyclic words, and
 the density of the rotated sum is corrected by the leading asymptotic
 term (-1)^p (delta mu_p / p!) f^(p).
+
+All of it derives from one streaming pass over the sample indices (run on
+a chunked thread pool): each pair is drawn once and yields its spectral
+moments, its free-rotated and permuted sum spectra and one row of raw
+normalized word traces, and is then dropped.  Centered word traces and
+the free word predictions both follow from the raw table afterwards,
+through one linear inclusion-exclusion map (moments.centering_map), so no
+pair is ever regenerated.
 """
 
 from __future__ import annotations
@@ -25,20 +33,22 @@ import numpy as np
 from .errors import ConfigError
 from .matrices import (
     EnsembleSpec,
-    MatrixPairSample,
+    PairPowers,
+    WordTracePlan,
     estimate_moments,
+    for_each_chunk,
     per_sample_moments,
     sample_classical_sum_spectrum,
     sample_free_sum_spectrum,
     sample_pair,
     stream,
-    word_trace_table,
 )
 from .moments import (
+    centering_map,
     classical_cumulants_from_moments,
     classical_joint_moment,
     free_convolve,
-    free_joint_moment,
+    free_word_moments,
 )
 from .series import complete_bell, hermite
 from .words import Word, necklace_count, word_expansion
@@ -143,17 +153,84 @@ class DensityEstimate:
         return float(_trapz(self.values, self.grid))
 
 
-def _moment_tables(pairs, order2: int):
-    """Per-sample spectral moments of A, B and A+B through ``order2``."""
-    rows_a, rows_b, rows_s = [], [], []
-    for pair in pairs:
-        ea = np.linalg.eigvalsh(pair.a)
-        eb = np.linalg.eigvalsh(pair.b)
-        es = np.linalg.eigvalsh(pair.a + pair.b)
-        rows_a.append(per_sample_moments(ea, order2)[0])
-        rows_b.append(per_sample_moments(eb, order2)[0])
-        rows_s.append(per_sample_moments(es, order2)[0])
-    return np.array(rows_a), np.array(rows_b), np.array(rows_s)
+@dataclass(frozen=True)
+class _SampleTables:
+    """What the single pass over the sample indices keeps (row i = sample i).
+
+    ``m_a``, ``m_b``, ``m_s`` hold the spectral moments of A, B and A + B;
+    ``traces`` the raw normalized traces of ``words``: the empty word, then
+    the necklaces by order.  The spectrum pools are filled for
+    ``run_analysis`` only.
+    """
+
+    m_a: np.ndarray
+    m_b: np.ndarray
+    m_s: np.ndarray
+    words: list[Word]
+    traces: np.ndarray
+    free_pool: np.ndarray | None = None
+    sum_pool: np.ndarray | None = None
+    classical_pool: np.ndarray | None = None
+
+
+def _sample_pass(draw, count: int, dimension: int, order2: int, necklaces_by_order,
+                 threads: int, config: AnalysisConfig | None = None) -> _SampleTables:
+    """Draw each pair once and record everything the pipeline reads from it.
+
+    ``draw(i)`` returns the i-th pair.  Every quantity is a function of the
+    index alone (the spectra use the per-index streams), so the tables do
+    not depend on ``threads``.  With ``config`` the free-rotated, exact and
+    permuted sum spectra are pooled as well.
+    """
+    words = [Word.empty()] + [n.word for necklaces in necklaces_by_order.values()
+                              for n in necklaces]
+    plan = WordTracePlan(words)
+    m_a = np.empty((count, order2 + 1))
+    m_b = np.empty((count, order2 + 1))
+    m_s = np.empty((count, order2 + 1))
+    traces = np.empty((count, plan.size))
+    free_pool = sum_pool = classical_pool = None
+    if config is not None:
+        rotations = config.free_rotations
+        seed = config.ensemble.seed
+        free_pool = np.empty((count * rotations, dimension))
+        sum_pool = np.empty((count, dimension)) if config.include_exact_sum else None
+        classical_pool = np.empty((count, dimension)) if config.include_classical else None
+
+    def run_chunk(indices):
+        powers = PairPowers()
+        for i in indices:
+            pair = draw(i)
+            if pair.dimension != dimension:
+                raise ValueError(
+                    f"sample {i} has dimension {pair.dimension}, expected {dimension}"
+                )
+            ea = np.linalg.eigvalsh(pair.a)
+            eb = np.linalg.eigvalsh(pair.b)
+            es = np.linalg.eigvalsh(pair.a + pair.b)
+            m_a[i] = per_sample_moments(ea, order2)[0]
+            m_b[i] = per_sample_moments(eb, order2)[0]
+            m_s[i] = per_sample_moments(es, order2)[0]
+            traces[i] = plan.traces(powers.load(pair))
+            if config is None:
+                continue
+            if sum_pool is not None:
+                sum_pool[i] = es
+            for j in range(rotations):
+                spectrum = sample_free_sum_spectrum(pair, stream(seed, i, _FREE_STREAM, j))
+                free_pool[i * rotations + j] = spectrum.eigenvalues
+            if classical_pool is not None:
+                spectrum = sample_classical_sum_spectrum(
+                    pair, stream(seed, i, _CLASSICAL_STREAM), eigenvalues=(ea, eb))
+                classical_pool[i] = spectrum.eigenvalues
+
+    for_each_chunk(count, threads, run_chunk)
+    return _SampleTables(m_a, m_b, m_s, words, traces, free_pool, sum_pool, classical_pool)
+
+
+def _necklaces_through(order: int) -> dict:
+    """Necklaces of every order 1..order, keyed by order."""
+    return {k: word_expansion(k, 2) for k in range(1, order + 1)}
 
 
 def _paper_se(mean_table: np.ndarray, t: int, k: int) -> float:
@@ -226,8 +303,7 @@ def _word_family_size(order: int) -> int:
     return sum(necklace_count(k, 2) for k in range(1, order + 1))
 
 
-def _detect(pairs, m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
-            order: int, alpha: float, threads: int = 1):
+def _detect(tables: _SampleTables, necklaces_by_order, order: int, alpha: float):
     """Two-stage scan for the first order deviating from free independence.
 
     Stage one tests the aggregated moment difference at each order.  Stage
@@ -240,15 +316,12 @@ def _detect(pairs, m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
     within each (K moment tests; all cyclic terms through order K).
 
     Returns the DegreeResult plus the per-order word statistics, so callers
-    can reuse them for localization without another sampling pass.
+    can reuse them for localization.
     """
     moment_level = alpha / (2 * order)
     word_level = alpha / (2 * _word_family_size(order))
-    rows = _moment_stage(m_a, m_b, m_s, order, moment_level)
-    mu_a = m_a.mean(axis=0)
-    mu_b = m_b.mean(axis=0)
-    stats_by_order = _word_statistics_all_orders(pairs, order, mu_a, mu_b,
-                                                 word_level, threads)
+    rows = _moment_stage(tables.m_a, tables.m_b, tables.m_s, order, moment_level)
+    stats_by_order = _word_statistics(necklaces_by_order, tables, word_level)
     degree = None
     triggered_by = None
     triggering: tuple[str, ...] = ()
@@ -264,24 +337,26 @@ def _detect(pairs, m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
                         triggering), stats_by_order
 
 
-def _word_statistics_all_orders(pairs, order: int, mu_a, mu_b, flag_level: float,
-                                threads: int) -> dict[int, list[WordStatistic]]:
-    """Word statistics for every order 1..order from a single sampling pass."""
-    necklaces_by_order = {k: word_expansion(k, 2) for k in range(1, order + 1)}
-    all_necklaces = [n for k in range(1, order + 1) for n in necklaces_by_order[k]]
-    words = [n.word for n in all_necklaces]
-    centers = (
-        {e: float(mu_a[e]) for _, e in _exponents(words, 0)},
-        {e: float(mu_b[e]) for _, e in _exponents(words, 1)},
-    )
-    table = word_trace_table(pairs, words, centers=centers, threads=threads)
+def _word_statistics(necklaces_by_order, tables: _SampleTables,
+                     flag_level: float) -> dict[int, list[WordStatistic]]:
+    """Word statistics for every order of ``necklaces_by_order``.
+
+    The centered traces tr(prod (X^e - mu_e))/N are the raw table times the
+    inclusion-exclusion map, and the free predictions solve that same map.
+    """
+    mu_a = tables.m_a.mean(axis=0)
+    mu_b = tables.m_b.mean(axis=0)
+    expansion = centering_map(tables.words, mu_a, mu_b)
+    centered = tables.traces @ expansion
+    free = free_word_moments(expansion)
     out: dict[int, list[WordStatistic]] = {}
-    offset = 0
-    for k in range(1, order + 1):
-        necklaces = necklaces_by_order[k]
-        block = table[:, offset:offset + len(necklaces), :]
-        offset += len(necklaces)
-        out[k] = _stats_from_table(necklaces, block, mu_a, mu_b, flag_level)
+    column = 1
+    for k, necklaces in necklaces_by_order.items():
+        columns = slice(column, column + len(necklaces))
+        column += len(necklaces)
+        out[k] = _stats_from_table(necklaces, tables.traces[:, columns],
+                                   centered[:, columns], free[columns],
+                                   mu_a, mu_b, flag_level)
     return out
 
 
@@ -298,52 +373,40 @@ def detect_degree(samples, order: int, alpha: float, threads: int = 1) -> Degree
         raise ConfigError(f"need a scan order >= 2, got {order}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    m_a, m_b, m_s = _moment_tables(samples, 2 * order)
-    result, _ = _detect(samples, m_a, m_b, m_s, order, alpha, threads)
+    necklaces_by_order = _necklaces_through(order)
+    tables = _sample_pass(samples.__getitem__, len(samples), samples[0].dimension,
+                          2 * order, necklaces_by_order, threads)
+    result, _ = _detect(tables, necklaces_by_order, order, alpha)
     return result
 
 
-def _word_statistics(pairs, degree: int, alpha: float, mu_a, mu_b,
-                     threads: int = 1, flag_level: float | None = None) -> list[WordStatistic]:
-    necklaces = word_expansion(degree, 2)
-    words = [n.word for n in necklaces]
-    centers = (
-        {e: float(mu_a[e]) for _, e in _exponents(words, 0)},
-        {e: float(mu_b[e]) for _, e in _exponents(words, 1)},
-    )
-    table = word_trace_table(pairs, words, centers=centers, threads=threads)
-    level = flag_level if flag_level is not None else alpha / len(necklaces)
-    return _stats_from_table(necklaces, table, mu_a, mu_b, level)
-
-
-def _stats_from_table(necklaces, table: np.ndarray, mu_a, mu_b,
-                      level: float) -> list[WordStatistic]:
+def _stats_from_table(necklaces, raw: np.ndarray, centered: np.ndarray, free: np.ndarray,
+                      mu_a, mu_b, level: float) -> list[WordStatistic]:
     # Standard errors here are the plain Monte Carlo ones, std/sqrt(t) over
     # per-sample traces.  The <W^2>-based proxy (see estimate_word_net) is
     # not the sampling variance of the mean and can even vanish while the
     # statistic fluctuates, which would break the hypothesis tests.
-    t = table.shape[0]
+    t = raw.shape[0]
     ddof = 1 if t > 1 else 0
     stats = []
     for j, necklace in enumerate(necklaces):
-        v, cv = table[:, j, 0], table[:, j, 2]
+        v, cv = raw[:, j], centered[:, j]
         estimate = float(v.mean())
         se = float(v.std(ddof=ddof)) / math.sqrt(t)
-        centered = float(cv.mean())
+        centered_mean = float(cv.mean())
         centered_se = float(cv.std(ddof=ddof)) / math.sqrt(t)
         classical = float(classical_joint_moment(necklace.word, mu_a, mu_b))
-        free = float(free_joint_moment(necklace.word, mu_a, mu_b))
         _, p_classical = _two_sided_test(estimate - classical, se,
                                          max(abs(estimate), abs(classical)))
-        _, p_free = _two_sided_test(centered, centered_se, abs(centered))
+        _, p_free = _two_sided_test(centered_mean, centered_se, abs(centered_mean))
         stats.append(WordStatistic(
             word=necklace.word,
             multiplicity=necklace.multiplicity,
             estimate=estimate,
             se=se,
             classical_prediction=classical,
-            free_prediction=free,
-            centered_estimate=centered,
+            free_prediction=float(free[j]),
+            centered_estimate=centered_mean,
             centered_se=centered_se,
             p_value_classical=p_classical,
             p_value_free=p_free,
@@ -351,15 +414,6 @@ def _stats_from_table(necklaces, table: np.ndarray, mu_a, mu_b,
             flagged_free=p_free < level,
         ))
     return stats
-
-
-def _exponents(words, letter: int):
-    seen = set()
-    for word in words:
-        for l, e in word.blocks:
-            if l == letter:
-                seen.add((l, e))
-    return sorted(seen)
 
 
 def localize_violations(samples, degree: int, alpha: float,
@@ -375,9 +429,11 @@ def localize_violations(samples, degree: int, alpha: float,
         raise ConfigError(f"need degree >= 1, got {degree}")
     if not samples:
         raise ConfigError("need samples")
-    m_a, m_b, _ = _moment_tables(samples, degree)
-    return _word_statistics(samples, degree, alpha,
-                            m_a.mean(axis=0), m_b.mean(axis=0), threads)
+    necklaces_by_order = _necklaces_through(degree)
+    tables = _sample_pass(samples.__getitem__, len(samples), samples[0].dimension,
+                          degree, necklaces_by_order, threads)
+    level = alpha / len(necklaces_by_order[degree])
+    return _word_statistics(necklaces_by_order, tables, level)[degree]
 
 
 # ---------------------------------------------------------------------------
@@ -568,23 +624,6 @@ class AnalysisConfig:
         }
 
 
-class _PairSequence:
-    """Lazy, random-access view of an ensemble's samples (regenerated on access)."""
-
-    def __init__(self, spec: EnsembleSpec, count: int):
-        self.spec = spec
-        self.count = count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, index: int) -> MatrixPairSample:
-        return sample_pair(self.spec, index)
-
-    def __iter__(self):
-        return (self[i] for i in range(self.count))
-
-
 @dataclass(frozen=True)
 class FreenessReport:
     """Full record of one pipeline run, serializable as a single JSON document."""
@@ -673,40 +712,14 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
     config.validate()
     spec = config.ensemble
     t, order = config.sample_count, config.order
-    order2 = 2 * order
-    n = spec.dimension
-
-    m_a = np.empty((t, order2 + 1))
-    m_b = np.empty((t, order2 + 1))
-    m_s = np.empty((t, order2 + 1))
-    free_pool = np.empty((t * config.free_rotations, n))
-    sum_pool = np.empty((t, n)) if config.include_exact_sum else None
-    classical_rows = np.empty((t, order2 + 1)) if config.include_classical else None
-    classical_pool = np.empty((t, n)) if config.include_classical else None
-
-    for i in range(t):
-        pair = sample_pair(spec, i)
-        m_a[i] = per_sample_moments(np.linalg.eigvalsh(pair.a), order2)[0]
-        m_b[i] = per_sample_moments(np.linalg.eigvalsh(pair.b), order2)[0]
-        sum_eigs = np.linalg.eigvalsh(pair.a + pair.b)
-        m_s[i] = per_sample_moments(sum_eigs, order2)[0]
-        if sum_pool is not None:
-            sum_pool[i] = sum_eigs
-        for j in range(config.free_rotations):
-            rng = stream(spec.seed, i, _FREE_STREAM, j)
-            spectrum = sample_free_sum_spectrum(pair, rng)
-            free_pool[i * config.free_rotations + j] = spectrum.eigenvalues
-        if config.include_classical:
-            rng = stream(spec.seed, i, _CLASSICAL_STREAM)
-            spectrum = sample_classical_sum_spectrum(pair, rng)
-            classical_pool[i] = spectrum.eigenvalues
-            classical_rows[i] = per_sample_moments(spectrum.eigenvalues, order2)[0]
-
-    pairs = _PairSequence(spec, t)
-    degree_result, stats_by_order = _detect(pairs, m_a, m_b, m_s, order,
-                                            config.alpha, config.threads)
-    free_est = estimate_moments(free_pool, order)
-    classical_est = estimate_moments(classical_pool, order) if config.include_classical else None
+    necklaces_by_order = _necklaces_through(order)
+    tables = _sample_pass(lambda i: sample_pair(spec, i), t, spec.dimension, 2 * order,
+                          necklaces_by_order, config.threads, config)
+    degree_result, stats_by_order = _detect(tables, necklaces_by_order, order,
+                                            config.alpha)
+    free_est = estimate_moments(tables.free_pool, order)
+    classical_est = (estimate_moments(tables.classical_pool, order)
+                     if config.include_classical else None)
 
     rows = []
     for row in degree_result.rows:
@@ -748,8 +761,8 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
         else:
             delta_mu = degree_result.rows[degree - 1].diff
 
-    densities = _density_section(config, degree, delta_mu, free_pool,
-                                 sum_pool, classical_pool, notes)
+    densities = _density_section(config, degree, delta_mu, tables.free_pool,
+                                 tables.sum_pool, tables.classical_pool, notes)
     if not config.include_exact_sum:
         notes.append("exact-sum sampling disabled; f_sum density omitted")
     if not config.include_classical:

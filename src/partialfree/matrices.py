@@ -176,15 +176,19 @@ def _rotation(theta: float) -> np.ndarray:
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-_file_cache: dict[str, list[MatrixPairSample]] = {}
+# path -> ((st_mtime_ns, st_size) when parsed, records)
+_file_cache: dict[str, tuple[tuple[int, int], list[MatrixPairSample]]] = {}
 
 
 def _load_pair_file(path: str) -> list[MatrixPairSample]:
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        raise InputError(f"{path}: no such file") from None
+    stamp = (st.st_mtime_ns, st.st_size)
     cached = _file_cache.get(path)
-    if cached is not None:
-        return cached
-    if not os.path.exists(path):
-        raise InputError(f"{path}: no such file")
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
     records: list[MatrixPairSample] = []
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -213,12 +217,12 @@ def _load_pair_file(path: str) -> list[MatrixPairSample]:
             records.append(pair)
     if not records:
         raise InputError(f"{path}: no records")
-    _file_cache[path] = records
+    _file_cache[path] = (stamp, records)
     return records
 
 
 def load_pair_file(path: str) -> list[MatrixPairSample]:
-    """Parse (and cache) a JSONL file of matrix pairs."""
+    """Parse a JSONL file of matrix pairs; re-parsed when the file changes."""
     return _load_pair_file(path)
 
 
@@ -303,17 +307,19 @@ def sample_free_sum_spectrum(pair: MatrixPairSample,
     return SpectrumSample(np.linalg.eigvalsh(m), "free-rotated")
 
 
-def sample_classical_sum_spectrum(pair: MatrixPairSample,
-                                  rng: np.random.Generator) -> SpectrumSample:
+def sample_classical_sum_spectrum(pair: MatrixPairSample, rng: np.random.Generator,
+                                  eigenvalues=None) -> SpectrumSample:
     """Spectrum of Lambda_A + Pi Lambda_B Pi^T with a uniform permutation Pi.
 
     The permutation shuffles eigenvalues of B against those of A, so the
     aggregated law is the classical convolution of the two spectral laws
     (one eigenvalue of each, paired at random).  Conjugating the raw B by a
     permutation matrix would not achieve this for noncommuting pairs.
+    ``eigenvalues`` may pass the already computed (eig(A), eig(B)).
     """
-    ea = np.linalg.eigvalsh(pair.a)
-    eb = np.linalg.eigvalsh(pair.b)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(pair.a), np.linalg.eigvalsh(pair.b)
+    ea, eb = eigenvalues
     perm = rng.permutation(pair.dimension)
     return SpectrumSample(np.sort(ea + eb[perm]), "permuted")
 
@@ -371,6 +377,22 @@ def estimate_moments(spectra, order: int) -> MomentEstimate:
 # word-trace estimation
 
 
+def for_each_chunk(count: int, threads: int, run_chunk) -> None:
+    """Call ``run_chunk(indices)`` on contiguous chunks of range(count).
+
+    With ``threads`` > 1 (and at least two indices per thread) the chunks run
+    on a thread pool; the first failing chunk in index order raises, so the
+    error is the one a serial loop would meet first.
+    """
+    if threads <= 1 or count < 2 * threads:
+        run_chunk(range(count))
+        return
+    bounds = [count * j // threads for j in range(threads + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run_chunk, chunks))
+
+
 def _as_diagonal(m: np.ndarray) -> np.ndarray | None:
     d = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(d) and np.all(m == np.diag(d)):
@@ -382,6 +404,7 @@ class _Powers:
     """Cached integer powers of one matrix; diagonal matrices stay 1-D."""
 
     def __init__(self, m: np.ndarray):
+        self.matrix = m
         d = _as_diagonal(m)
         self.diagonal = d is not None
         self.cache: dict[int, np.ndarray] = {1: d if self.diagonal else m}
@@ -396,13 +419,30 @@ class _Powers:
             self.cache[e] = p
         return p
 
-    def shifted(self, e: int, c: float) -> np.ndarray:
-        p = self.power(e)
-        if self.diagonal:
-            return p - c
-        out = p.copy()
-        out[np.diag_indices_from(out)] -= c
-        return out
+
+class PairPowers:
+    """Powers of the current pair's A and B, for one thread's run of pairs.
+
+    ``load`` keeps a matrix's cached powers when the next pair repeats that
+    matrix (B is fixed in the chain and Pauli ensembles).
+    """
+
+    def __init__(self):
+        self.a: _Powers | None = None
+        self.b: _Powers | None = None
+        self.dimension = 0
+
+    @staticmethod
+    def _powers_of(m: np.ndarray, current: _Powers | None) -> _Powers:
+        if current is not None and (current.matrix is m or np.array_equal(current.matrix, m)):
+            return current
+        return _Powers(m)
+
+    def load(self, pair: MatrixPairSample) -> "PairPowers":
+        self.a = self._powers_of(pair.a, self.a)
+        self.b = self._powers_of(pair.b, self.b)
+        self.dimension = pair.dimension
+        return self
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -419,78 +459,90 @@ def _trace(x: np.ndarray) -> float:
     return float(x.sum() if x.ndim == 1 else np.trace(x))
 
 
-def _trace_square(x: np.ndarray) -> float:
-    # tr(X @ X) without forming the product
-    return float((x * x).sum() if x.ndim == 1 else (x * x.T).sum())
+def _trace_product(p: np.ndarray, x: np.ndarray) -> float:
+    """tr(P X) without forming the product: sum of P * X^T."""
+    if p.ndim == 1:
+        return float(p @ (x if x.ndim == 1 else np.diagonal(x)))
+    if x.ndim == 1:
+        return float(np.diagonal(p) @ x)
+    return float((p * x.T).sum())
 
 
-def _word_traces_for_pair(pair: MatrixPairSample, words, centers,
-                          pa: _Powers, pb: _Powers) -> np.ndarray:
-    n = pair.dimension
-    out = np.empty((len(words), 4))
-    for w, word in enumerate(words):
-        if word.length == 0:
-            out[w] = (1.0, 1.0, 0.0, 0.0)
-            continue
-        raw = None
-        centered = None
-        for letter, e in word.blocks:
-            powers = pa if letter == 0 else pb
-            raw_factor = powers.power(e)
-            raw = raw_factor if raw is None else _mul(raw, raw_factor)
-            if centers is not None:
-                shift = powers.shifted(e, centers[letter][e])
-                centered = shift if centered is None else _mul(centered, shift)
-        out[w, 0] = _trace(raw) / n
-        out[w, 1] = _trace_square(raw) / n
-        if centers is not None:
-            out[w, 2] = _trace(centered) / n
-            out[w, 3] = _trace_square(centered) / n
-        else:
-            out[w, 2:] = 0.0
-    return out
+class WordTracePlan:
+    """Raw normalized traces tr(W)/N of a fixed list of two-letter words.
+
+    The words are visited in lexicographic order of their blocks, so words
+    sharing a block prefix are adjacent and each prefix product is formed
+    once per pair; the last block is folded into the trace instead of
+    multiplied on.  A stack holds the current prefix's products, so at most
+    one product per block of the longest word is alive at a time, and none
+    outlives the call.  The plan itself is immutable and can be shared
+    between threads.
+    """
+
+    def __init__(self, words):
+        words = [w.canonical() for w in words]
+        for word in words:
+            if any(letter > 1 for letter, _ in word.blocks):
+                raise ValueError("word estimation supports the two-letter alphabet")
+        self.size = len(words)
+        # per word in visiting order: (column, prefix products kept, blocks
+        # to multiply on, last block or None for the empty word)
+        self.steps = []
+        current: tuple = ()
+        for column in sorted(range(len(words)), key=lambda j: words[j].blocks):
+            blocks = words[column].blocks
+            prefix = blocks[:-1]
+            keep = 0
+            while keep < min(len(prefix), len(current)) and prefix[keep] == current[keep]:
+                keep += 1
+            self.steps.append((column, keep, prefix[keep:], blocks[-1] if blocks else None))
+            current = prefix
+
+    def traces(self, powers: PairPowers) -> np.ndarray:
+        """One row of tr(W)/N for the pair loaded into ``powers``."""
+        pa, pb = powers.a, powers.b
+        out = np.empty(self.size)
+        stack: list[np.ndarray] = []
+        for column, keep, push, last in self.steps:
+            del stack[keep:]
+            for letter, e in push:
+                factor = (pb if letter else pa).power(e)
+                stack.append(_mul(stack[-1], factor) if stack else factor)
+            if last is None:
+                out[column] = 1.0
+                continue
+            x = (pb if last[0] else pa).power(last[1])
+            out[column] = ((_trace_product(stack[-1], x) if stack else _trace(x))
+                           / powers.dimension)
+        return out
 
 
-def word_trace_table(pairs, words, centers=None, threads: int = 1) -> np.ndarray:
-    """Normalized traces per sample and word.
+def word_trace_table(pairs, words, threads: int = 1) -> np.ndarray:
+    """Raw normalized traces tr(W)/N per sample and word.
 
-    Returns an array of shape (t, len(words), 4) holding tr(W)/N,
-    tr(W^2)/N, and the same two for the centered product when ``centers``
-    (per-letter scalars indexed by exponent) is given.
+    Returns an array of shape (t, len(words)); the empty word reads 1.
+    Centered traces are linear in this table (see moments.centering_map).
     """
     if not hasattr(pairs, "__getitem__"):
         pairs = list(pairs)
-    words = [w.canonical() for w in words]
-    for word in words:
-        if any(letter > 1 for letter, _ in word.blocks):
-            raise ValueError("word estimation supports the two-letter alphabet")
+    plan = WordTracePlan(words)
     if len(pairs) == 0:
         raise ValueError("need at least one sample")
     dimension = pairs[0].dimension
-    out = np.empty((len(pairs), len(words), 4))
+    out = np.empty((len(pairs), plan.size))
 
     def run_chunk(indices):
-        prev_a = prev_b = None
-        pa = pb = None
+        powers = PairPowers()
         for i in indices:
             pair = pairs[i]
             if pair.dimension != dimension:
                 raise ValueError(
                     f"sample {i} has dimension {pair.dimension}, expected {dimension}"
                 )
-            if pa is None or not (prev_a is pair.a or np.array_equal(prev_a, pair.a)):
-                pa, prev_a = _Powers(pair.a), pair.a
-            if pb is None or not (prev_b is pair.b or np.array_equal(prev_b, pair.b)):
-                pb, prev_b = _Powers(pair.b), pair.b
-            out[i] = _word_traces_for_pair(pair, words, centers, pa, pb)
+            out[i] = plan.traces(powers.load(pair))
 
-    indices = range(len(pairs))
-    if threads <= 1 or len(pairs) < 2 * threads:
-        run_chunk(indices)
-    else:
-        chunks = np.array_split(np.asarray(indices), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
+    for_each_chunk(len(pairs), threads, run_chunk)
     return out
 
 
@@ -498,13 +550,13 @@ def estimate_word_net(samples, word: Word) -> tuple[float, float]:
     """Monte Carlo mean of tr(word)/N over samples and its standard error.
 
     The SE follows the variance proxy sqrt((<W^2> - <W>^2)/t) where <W^2>
-    is the normalized-trace estimate of the squared product; the radicand
-    is clamped at zero (products of indefinite symmetric factors can have
+    is the raw normalized trace of the doubled word; the radicand is
+    clamped at zero (products of indefinite symmetric factors can have
     complex eigenvalue pairs making tr(W^2) small or negative).
     """
-    table = word_trace_table(samples, [word])
-    v = table[:, 0, 0]
-    sq = table[:, 0, 1]
+    table = word_trace_table(samples, [word, Word(word.blocks * 2, word.k)])
+    v = table[:, 0]
+    sq = table[:, 1]
     t = len(v)
     mean = float(v.mean())
     se = math.sqrt(max(0.0, float(sq.mean()) - mean * mean) / t)

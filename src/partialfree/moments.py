@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite, pi, sqrt, asin
 
+import numpy as np
+
 from .series import PowerSeries, _is_exact, cauchy_series_from_moments, complete_bell
 from .words import Word, word_expansion
 
@@ -237,17 +239,37 @@ def classical_joint_moment(word: Word, mu_a, mu_b):
     return _pure_moment(mus, 0, totals[0]) * _pure_moment(mus, 1, totals[1])
 
 
+def _block_deletions(word: Word, canonical: dict):
+    """Expansion of the centered product prod_i (X_i^(e_i) - c_i) over block subsets.
+
+    Yields (sign, removed blocks, remaining word) for every subset S of the
+    blocks, the empty subset first: the term replaces the blocks of S by
+    their scalars with sign (-1)^|S|.  Deleting blocks shortens the word and
+    cyclic merging re-normalizes it; the remainder is canonical.
+    ``canonical`` memoizes remainders by their blocks across calls.
+    """
+    blocks = word.blocks
+    for mask in range(1 << len(blocks)):
+        removed = tuple(b for i, b in enumerate(blocks) if mask >> i & 1)
+        rest = tuple(b for i, b in enumerate(blocks) if not mask >> i & 1)
+        remainder = canonical.get(rest)
+        if remainder is None:
+            remainder = canonical[rest] = Word(rest, word.k).canonical()
+        yield (-1) ** len(removed), removed, remainder
+
+
 def free_joint_moment(word: Word, mu_a, mu_b):
     """The unique joint-moment value forced by free independence.
 
     Expanding the product of centered blocks (X^e - <X^e>) and requiring it
     to vanish expresses the word as a signed sum over subsets of blocks
-    replaced by their scalar means; deleting blocks shortens the word and
-    cyclic merging re-normalizes it, so the recursion terminates.  Values
-    are memoized per call on the canonical rotation.
+    replaced by their scalar means (see ``_block_deletions``); the shorter
+    remainders recurse, so the recursion terminates.  Values are memoized
+    per call on the canonical rotation.
     """
     mus = _letter_moments(word, mu_a, mu_b)
     memo: dict[Word, object] = {}
+    canonical: dict = {}
 
     def net(w: Word):
         blocks = w.blocks
@@ -260,25 +282,70 @@ def free_joint_moment(word: Word, mu_a, mu_b):
         if cached is not None:
             return cached
         total = 0
-        nblocks = len(blocks)
-        for mask in range(1, 1 << nblocks):
+        for sign, removed, rest in _block_deletions(w, canonical):
+            if not removed:
+                continue
             scalar = 1
-            rest = []
-            for i, block in enumerate(blocks):
-                if mask >> i & 1:
-                    scalar *= _pure_moment(mus, block[0], block[1])
-                else:
-                    rest.append(block)
+            for letter, exponent in removed:
+                scalar *= _pure_moment(mus, letter, exponent)
             if scalar == 0:
                 continue
-            sign = -1 if bin(mask).count("1") % 2 else 1
-            sub = Word(tuple(rest), w.k).canonical()
-            total += sign * scalar * net(sub)
+            total += sign * scalar * net(rest)
         value = -total
         memo[w] = value
         return value
 
     return net(word.canonical())
+
+
+def centering_map(words, mu_a, mu_b) -> np.ndarray:
+    """Matrix taking raw normalized word traces to centered ones.
+
+    ``words`` starts with the empty word, is ordered by length and holds
+    every remainder of its own block deletions (all necklaces through some
+    order do).  With ``raw`` holding tr(W)/N per sample in that column order
+    (1 for the empty word), ``raw @ M`` holds tr(prod (X^e - mu_e(X)))/N.
+    M has a unit diagonal and otherwise only entries M[i, j] with i < j,
+    from words shorter than word j.
+    """
+    words = [w.canonical() for w in words]
+    if not words or words[0].blocks:
+        raise ValueError("the word list must start with the empty word")
+    if any(a.length > b.length for a, b in zip(words, words[1:])):
+        raise ValueError("words must be ordered by length")
+    column = {w: j for j, w in enumerate(words)}
+    if len(column) != len(words):
+        raise ValueError("words must be distinct up to rotation")
+    mus = tuple([float(v) for v in _check_moments(mu, name)]
+                for mu, name in ((mu_a, "mu_a"), (mu_b, "mu_b")))
+    out = np.zeros((len(words), len(words)))
+    canonical: dict = {}
+    for j, word in enumerate(words):
+        for sign, removed, rest in _block_deletions(word, canonical):
+            i = column.get(rest)
+            if i is None:
+                raise ValueError(
+                    f"word list lacks {rest.to_string() or '<empty>'}, "
+                    f"a remainder of {word.to_string()}")
+            scalar = float(sign)
+            for letter, exponent in removed:
+                scalar *= _pure_moment(mus, letter, exponent)
+            out[i, j] += scalar
+    return out
+
+
+def free_word_moments(expansion: np.ndarray) -> np.ndarray:
+    """Free joint moments of all words of a ``centering_map``, in its column order.
+
+    Free independence makes every centered word vanish, so each word's
+    value follows from the shorter ones by forward substitution; the empty
+    word is 1.  Agrees with :func:`free_joint_moment` word by word.
+    """
+    out = np.empty(expansion.shape[0])
+    out[0] = 1.0
+    for j in range(1, len(out)):
+        out[j] = -(out[:j] @ expansion[:j, j])
+    return out
 
 
 def sum_moment_free(n: int, mu_a, mu_b):

@@ -3,8 +3,9 @@
 Everything here recomputes results by a different route than the library:
 strings are grouped by literal rotation, free moments come from explicit
 non-crossing partitions, series reversion from the Lagrange formula, and
-word traces from index sums over matrix entries.  None of it calls the
-code paths under test beyond basic data types.
+word traces from index sums over matrix entries or from explicit block
+powers.  None of it calls the code paths under test beyond basic data
+types.
 """
 
 from fractions import Fraction
@@ -180,3 +181,19 @@ def site_sum_word_net(word, adjacency, entry_moments):
                 break
         total += weight
     return total / n
+
+
+def block_power_trace(blocks, a, b, centers=None):
+    """tr(prod over (letter, exponent) blocks of X^e)/N by explicit matrix powers.
+
+    With ``centers`` = (c_A, c_B), indexable by exponent, every factor is
+    (X^e - c_X[e] I) instead.  Letter 0 is A, letter 1 is B.
+    """
+    n = a.shape[0]
+    product = np.eye(n)
+    for letter, exponent in blocks:
+        factor = np.linalg.matrix_power(a if letter == 0 else b, exponent)
+        if centers is not None:
+            factor = factor - centers[letter][exponent] * np.eye(n)
+        product = product @ factor
+    return float(np.trace(product)) / n

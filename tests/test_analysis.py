@@ -299,7 +299,7 @@ def test_word_statistics_use_monte_carlo_se():
 
     for stat in stats:
         table = word_trace_table(samples, [stat.word])
-        v = table[:, 0, 0]
+        v = table[:, 0]
         t = len(v)
         want_se = v.std(ddof=1) / math.sqrt(t)
         assert stat.se == pytest.approx(want_se, rel=1e-12, abs=1e-15)
@@ -400,6 +400,46 @@ def test_word_table_rejects_dimension_mismatch():
     mixed = [sample_pair(spec_small, 0), sample_pair(spec_big, 0)]
     with pytest.raises(ValueError, match="dimension"):
         word_trace_table(mixed, [Word.from_string("AB")])
+
+
+def test_pipeline_classical_moments_match_public_sampler():
+    # the pass hands its eig(A), eig(B) to the permuted-sum sampler; the
+    # result must equal what the public sampler computes on its own
+    from partialfree.analysis import _CLASSICAL_STREAM
+    from partialfree.matrices import estimate_moments, sample_classical_sum_spectrum, stream
+
+    spec = EnsembleSpec.goe(6, seed=12)
+    config = AnalysisConfig(ensemble=spec, sample_count=30, order=4, alpha=0.01)
+    report = run_analysis(config)
+    spectra = [sample_classical_sum_spectrum(sample_pair(spec, i),
+                                             stream(spec.seed, i, _CLASSICAL_STREAM))
+               for i in range(config.sample_count)]
+    want = estimate_moments(spectra, config.order)
+    for row in report.moments:
+        assert row.sampled_classical == float(want.values[row.order])
+        assert row.sampled_classical_se == float(want.se[row.order])
+
+
+def _write_goe_pairs(path, n=5, t=32, seed=4):
+    rng = np.random.default_rng(seed)
+    with open(path, "w") as fh:
+        for _ in range(t):
+            a, b = (g + g.T for g in rng.standard_normal((2, n, n)))
+            fh.write(json.dumps({"A": a.tolist(), "B": b.tolist()}) + "\n")
+
+
+def test_reports_identical_across_thread_counts(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    _write_goe_pairs(path)
+    configs = [
+        (EnsembleSpec.tridiagonal_adjacency(24, seed=5, circulant=True), 40, 6),
+        (EnsembleSpec.from_file(str(path), seed=2), 32, 5),
+    ]
+    for spec, t, order in configs:
+        texts = [run_analysis(AnalysisConfig(ensemble=spec, sample_count=t, order=order,
+                                             alpha=0.01, threads=threads)).to_json()
+                 for threads in (1, 2)]
+        assert texts[0] == texts[1], spec.variant
 
 
 def test_tridiagonal_report_carries_walk_sum_note():

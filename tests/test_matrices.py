@@ -14,6 +14,7 @@ from partialfree.matrices import (
     estimate_moments,
     estimate_word_net,
     haar_orthogonal,
+    load_pair_file,
     pauli_block_matrices,
     random_permutation,
     sample_classical_sum_spectrum,
@@ -24,7 +25,10 @@ from partialfree.matrices import (
     symmetric_eigenvalues,
     word_trace_table,
 )
-from partialfree.words import Word
+from partialfree.moments import centering_map
+from partialfree.words import Word, word_expansion
+
+from oracles import block_power_trace
 
 
 def test_sampling_is_deterministic_and_streams_independent():
@@ -282,16 +286,52 @@ def test_rotation_pair_classical_atoms():
 def test_word_trace_table_centered_columns():
     spec = EnsembleSpec.gaussian_diagonal(12, seed=13)
     samples = [sample_pair(spec, i) for i in range(8)]
-    word = Word.from_string("AB")
-    centers = ({1: 0.5}, {1: -0.25})
-    table = word_trace_table(samples, [word], centers=centers)
+    words = [Word.empty(), Word.from_string("A"), Word.from_string("B"),
+             Word.from_string("AB")]
+    table = word_trace_table(samples, words)
+    centered_table = table @ centering_map(words, [1.0, 0.5], [1.0, -0.25])
     for i, pair in enumerate(samples):
         da = np.diagonal(pair.a)
         db = np.diagonal(pair.b)
         raw = np.mean(da * db)
         centered = np.mean((da - 0.5) * (db + 0.25))
-        assert table[i, 0, 0] == pytest.approx(raw)
-        assert table[i, 0, 2] == pytest.approx(centered)
+        assert table[i, 3] == pytest.approx(raw)
+        assert centered_table[i, 3] == pytest.approx(centered)
+
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec.goe(6, seed=41),
+    EnsembleSpec.gaussian_diagonal(6, seed=42),
+    EnsembleSpec.tridiagonal_adjacency(8, seed=43),
+], ids=lambda spec: spec.variant)
+def test_word_traces_match_block_power_oracle(spec):
+    # raw kernel plus the centering map against explicit block products,
+    # for every necklace through order 8
+    samples = [sample_pair(spec, i) for i in range(3)]
+    words = [Word.empty()] + [n.word for k in range(1, 9) for n in word_expansion(k, 2)]
+    n = spec.dimension
+    mu_a, mu_b = (
+        np.mean([[np.trace(np.linalg.matrix_power(m, e)) / n for e in range(9)]
+                 for m in matrices], axis=0)
+        for matrices in ([p.a for p in samples], [p.b for p in samples])
+    )
+    raw = word_trace_table(samples, words)
+    centered = raw @ centering_map(words, mu_a, mu_b)
+    for i, pair in enumerate(samples):
+        for j, word in enumerate(words):
+            want = block_power_trace(word.blocks, pair.a, pair.b)
+            assert abs(raw[i, j] - want) <= 1e-10 * max(1.0, abs(want)), word
+            want = block_power_trace(word.blocks, pair.a, pair.b, (mu_a, mu_b))
+            assert abs(centered[i, j] - want) <= 1e-10 * max(1.0, abs(want)), word
+
+
+def test_load_pair_file_sees_rewritten_file(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    record = json.dumps({"A": [[1.0]], "B": [[2.0]]})
+    path.write_text(record + "\n")
+    assert len(load_pair_file(str(path))) == 1
+    path.write_text((record + "\n") * 3)
+    assert len(load_pair_file(str(path))) == 3
 
 
 def test_word_trace_table_threads_match_serial():

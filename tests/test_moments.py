@@ -11,17 +11,19 @@ from partialfree.moments import (
     arcsine_cdf,
     arcsine_density,
     atomic_classical_convolve,
+    centering_map,
     classical_convolve,
     classical_cumulants_from_moments,
     classical_joint_moment,
     free_convolve,
     free_cumulants_from_moments,
     free_joint_moment,
+    free_word_moments,
     moments_from_classical_cumulants,
     moments_from_free_cumulants,
     sum_moment_free,
 )
-from partialfree.words import Word
+from partialfree.words import Word, word_expansion
 
 from oracles import (
     classical_cumulants_recursive,
@@ -248,6 +250,31 @@ def test_free_joint_moment_single_letter_words():
     assert free_joint_moment(Word.from_string("AABB"), mu_a, mu_b) == pytest.approx(
         mu_a[2] * mu_b[2]
     )
+
+
+def test_free_word_moments_match_exact_free_joint_moment():
+    # forward substitution on the float centering map against the exact
+    # rational recursion, for every necklace through order 8
+    rng = np.random.default_rng(29)
+    mu_a = [Fraction(1)] + [Fraction(int(v), 8) for v in rng.integers(-8, 9, size=8)]
+    mu_b = [Fraction(1)] + [Fraction(int(v), 8) for v in rng.integers(-8, 9, size=8)]
+    words = [Word.empty()] + [n.word for k in range(1, 9) for n in word_expansion(k, 2)]
+    got = free_word_moments(centering_map(words, mu_a, mu_b))
+    assert got[0] == 1.0
+    for word, value in zip(words[1:], got[1:]):
+        want = free_joint_moment(word, mu_a, mu_b)
+        assert isinstance(want, Fraction)
+        assert abs(value - float(want)) <= 1e-12 * max(1.0, abs(float(want))), word
+
+
+def test_centering_map_rejects_incomplete_word_lists():
+    mu = [1.0, 0.5, 0.25]
+    with pytest.raises(ValueError, match="empty word"):
+        centering_map([Word.from_string("A")], mu, mu)
+    with pytest.raises(ValueError, match="lacks B"):
+        centering_map([Word.empty(), Word.from_string("A"), Word.from_string("AB")], mu, mu)
+    with pytest.raises(ValueError, match="ordered by length"):
+        centering_map([Word.empty(), Word.from_string("AA"), Word.from_string("A")], mu, mu)
 
 
 @given(st.data())
