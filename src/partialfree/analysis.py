@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .matrices import (
     EnsembleSpec,
     PairPowers,
@@ -208,10 +208,12 @@ def _sample_pass(draw, count: int, dimension: int, order2: int, necklaces_by_ord
             ea = np.linalg.eigvalsh(pair.a)
             eb = np.linalg.eigvalsh(pair.b)
             es = np.linalg.eigvalsh(pair.a + pair.b)
-            m_a[i] = per_sample_moments(ea, order2)[0]
-            m_b[i] = per_sample_moments(eb, order2)[0]
-            m_s[i] = per_sample_moments(es, order2)[0]
-            traces[i] = plan.traces(powers.load(pair))
+            # errstate is per thread; the finite check below reports overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                m_a[i] = per_sample_moments(ea, order2)[0]
+                m_b[i] = per_sample_moments(eb, order2)[0]
+                m_s[i] = per_sample_moments(es, order2)[0]
+                traces[i] = plan.traces(powers.load(pair))
             if config is None:
                 continue
             if sum_pool is not None:
@@ -225,6 +227,13 @@ def _sample_pass(draw, count: int, dimension: int, order2: int, necklaces_by_ord
                 classical_pool[i] = spectrum.eigenvalues
 
     for_each_chunk(count, threads, run_chunk)
+    checks = [(f"moment of {name}", table, range(order2 + 1))
+              for name, table in (("A", m_a), ("B", m_b), ("A + B", m_s))]
+    for what, table, orders in checks + [("word trace", traces, [w.length for w in words])]:
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=0))
+        if bad.size:
+            raise InputError(f"non-finite sample {what} at order {orders[bad[0]]}: "
+                             "entries too large for double-precision powers")
     return _SampleTables(m_a, m_b, m_s, words, traces, free_pool, sum_pool, classical_pool)
 
 
@@ -245,38 +254,34 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
     the prediction computed from the estimated pure moments; its standard
     error is a leave-one-out jackknife over samples, recomputing the
     prediction each time, which keeps the large cancellation between the
-    two correlated sides.
+    two correlated sides.  The full-sample means and the t leave-one-out
+    means form one replicate table, so a single batched ``free_convolve``
+    call yields the point prediction and every jackknife replicate.
     """
     t = m_a.shape[0]
     if m_a.shape[1] < 2 * order + 1:
         raise ValueError(f"need sample moments through order {2 * order}")
-    mean_a = m_a.mean(axis=0)
-    mean_b = m_b.mean(axis=0)
     mean_s = m_s.mean(axis=0)
-    predicted = np.array(free_convolve(mean_a[: order + 1].tolist(),
-                                       mean_b[: order + 1].tolist()))
-    diffs = mean_s[: order + 1] - predicted
 
-    constant = bool(np.all(m_a == m_a[0]) and np.all(m_b == m_b[0])
-                    and np.all(m_s == m_s[0]))
+    def replicates(m):
+        # column 0: full-sample means; column i: means without sample i - 1
+        m = m[:, : order + 1]
+        return np.column_stack([m.mean(axis=0), ((m.sum(axis=0) - m) / (t - 1)).T])
+
+    rep_a, rep_b, rep_s = replicates(m_a), replicates(m_b), replicates(m_s)
+    convolved = free_convolve([1, *rep_a[1:]], [1, *rep_b[1:]])
+    rep_pred = np.array([rep_a[0], *convolved[1:]])
+    rep_diff = rep_s - rep_pred
+    predicted, diffs = rep_pred[:, 0], rep_diff[:, 0]
+
+    constant = all(np.all(m == m[0]) for m in (m_a, m_b, m_s))
     if constant:
         # deterministic ensemble: every leave-one-out replicate is identical
-        diff_se = np.zeros(order + 1)
-        pred_se = np.zeros(order + 1)
+        diff_se = pred_se = np.zeros(order + 1)
     else:
-        tot_a, tot_b, tot_s = m_a.sum(axis=0), m_b.sum(axis=0), m_s.sum(axis=0)
-        loo_diff = np.empty((t, order + 1))
-        loo_pred = np.empty((t, order + 1))
-        for i in range(t):
-            la = (tot_a - m_a[i]) / (t - 1)
-            lb = (tot_b - m_b[i]) / (t - 1)
-            ls = (tot_s - m_s[i]) / (t - 1)
-            lp = np.array(free_convolve(la[: order + 1].tolist(), lb[: order + 1].tolist()))
-            loo_pred[i] = lp
-            loo_diff[i] = ls[: order + 1] - lp
-        scale = (t - 1) / t
-        diff_se = np.sqrt(scale * ((loo_diff - loo_diff.mean(axis=0)) ** 2).sum(axis=0))
-        pred_se = np.sqrt(scale * ((loo_pred - loo_pred.mean(axis=0)) ** 2).sum(axis=0))
+        loo = np.stack([rep_diff[:, 1:], rep_pred[:, 1:]])
+        spread = ((loo - loo.mean(axis=2, keepdims=True)) ** 2).sum(axis=2)
+        diff_se, pred_se = np.sqrt((t - 1) / t * spread)
 
     rows = []
     for k in range(1, order + 1):
@@ -721,19 +726,13 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
     classical_est = (estimate_moments(tables.classical_pool, order)
                      if config.include_classical else None)
 
-    rows = []
-    for row in degree_result.rows:
-        k = row.order
-        rows.append(MomentRow(
-            order=k, estimate=row.estimate, se=row.se,
-            predicted_free=row.predicted_free, predicted_free_se=row.predicted_free_se,
-            diff=row.diff, diff_se=row.diff_se, z=row.z, p_value=row.p_value,
-            reject=row.reject,
-            sampled_free=float(free_est.values[k]),
-            sampled_free_se=float(free_est.se[k]),
-            sampled_classical=float(classical_est.values[k]) if classical_est else None,
-            sampled_classical_se=float(classical_est.se[k]) if classical_est else None,
-        ))
+    rows = [replace(
+        row,
+        sampled_free=float(free_est.values[row.order]),
+        sampled_free_se=float(free_est.se[row.order]),
+        sampled_classical=float(classical_est.values[row.order]) if classical_est else None,
+        sampled_classical_se=float(classical_est.se[row.order]) if classical_est else None,
+    ) for row in degree_result.rows]
 
     notes = ["field: real-symmetric"]
     degree = degree_result.degree

@@ -5,8 +5,10 @@ Free cumulant sequences nu have nu[0] = 1 by convention; classical
 cumulant sequences kappa use kappa[0] = 0 as a placeholder so that
 kappa[j] is the j-th cumulant throughout.
 
-Free cumulants are read off the compositional inverse of the moment
-generating series; classical cumulants come from the log of the
+Free cumulants and moments determine each other through the division-free
+recursion mu_n = sum_s nu_s [z^(n-s)] M(z)^s (Speicher, Math. Ann. 298,
+1994), which runs unchanged on exact numbers, floats and arrays of
+jackknife replicates; classical cumulants come from the log of the
 exponential moment generating series.  Both families add componentwise
 under their respective convolutions of spectral measures.
 
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite, pi, sqrt, asin
+from math import isfinite, pi, sqrt, asin
 
 import numpy as np
 
-from .series import PowerSeries, _is_exact, cauchy_series_from_moments, complete_bell
+from .series import PowerSeries, _is_exact, complete_bell
 from .words import Word, word_expansion
 
 
@@ -35,44 +37,43 @@ def _check_moments(mu, name: str = "mu"):
     return mu
 
 
-# Series reversion in doubles stays comfortably below 1e-12 error through
-# order 10 and degrades to ~1e-10 beyond; higher orders run on exact
-# rationals internally (floats convert losslessly) and round once at the end.
-_EXACT_INTERNAL_ORDER = 11
+def _free_recursion(seq, to_moments: bool) -> list:
+    """Moments from free cumulants, or back, without division.
+
+    With M(z) = sum_j mu_j z^j, mu_n = sum_{s=1..n} nu_s [z^(n-s)] M(z)^s
+    (Speicher 1994; Nica-Speicher, Lectures on the Combinatorics of Free
+    Probability, Lecture 11).  [z^j] M^s needs moments below order n only, so
+    it is filled order by order: O(K^3) operations, all + - *.  Elements may
+    be int, Fraction, float or equal-length 1-D arrays (one entry per
+    replicate); exact inputs stay exact.
+    """
+    mu = [seq[0]] if to_moments else list(seq)
+    nu = list(seq) if to_moments else [seq[0]]
+    # power[s][j] = [z^j] M(z)^s; M^1 is mu itself and [z^0] M^s = 1
+    power = [None, mu] + [[1] for _ in seq[2:]]
+    for n in range(1, len(seq)):
+        for s in range(2, n):
+            j, prev = n - s, power[s - 1]
+            power[s].append(sum(prev[j - i] * mu[i] for i in range(j + 1)))
+        tail = sum(nu[s] * power[s][n - s] for s in range(1, n))
+        if to_moments:
+            mu.append(nu[n] + tail)
+        else:
+            nu.append(mu[n] - tail)
+    return mu if to_moments else nu
 
 
 def free_cumulants_from_moments(mu) -> list:
-    """Free cumulants nu_0..nu_K of a moment sequence mu_0..mu_K.
+    """Free cumulants nu_0..nu_K (nu_0 = 1) of a moment sequence mu_0..mu_K.
 
-    The generating series G(u) = sum mu_k u^(k+1) is reverted; writing the
-    inverse as F(w) = w * H(w)^(-1), the coefficients of H are the free
-    cumulants (nu_0 = 1).
+    Solves mu_n = sum_{s=1..n} nu_s [z^(n-s)] M(z)^s for nu_n, order by order.
     """
-    mu = _check_moments(mu)
-    exact = _is_exact(mu)
-    work = mu if exact or len(mu) <= _EXACT_INTERNAL_ORDER else tuple(_exactify(mu))
-    g = cauchy_series_from_moments(work)        # order K+1, zero constant term
-    f = g.revert()                              # F(w) = w + f_2 w^2 + ...
-    f_over_w = PowerSeries(f.coeffs[1:])        # F(w)/w, constant term 1
-    h = f_over_w.reciprocal()
-    if not exact and work is not mu:
-        return [float(c) for c in h.coeffs]
-    return list(h.coeffs)
+    return _free_recursion(_check_moments(mu), to_moments=False)
 
 
 def moments_from_free_cumulants(nu) -> list:
-    """Inverse of :func:`free_cumulants_from_moments`."""
-    nu = tuple(nu)
-    if not nu or nu[0] != 1:
-        raise ValueError(f"free cumulants must satisfy nu[0] = 1, got {nu[:1]!r}")
-    exact = _is_exact(nu)
-    work = nu if exact or len(nu) <= _EXACT_INTERNAL_ORDER else tuple(_exactify(nu))
-    h = PowerSeries(work)
-    f = PowerSeries((0,) + h.reciprocal().coeffs)   # F(w) = w / H(w)
-    g = f.revert()
-    if not exact and work is not nu:
-        return [float(c) for c in g.coeffs[1:]]
-    return list(g.coeffs[1:])
+    """Inverse of :func:`free_cumulants_from_moments`: the same recursion, forwards."""
+    return _free_recursion(_check_moments(nu, "nu"), to_moments=True)
 
 
 def _log_series(order: int) -> PowerSeries:

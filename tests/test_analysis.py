@@ -391,6 +391,45 @@ def test_kde_matches_arcsine_away_from_endpoints():
     assert np.max(np.abs(est.values[inner] - reference)) < 0.05
 
 
+@pytest.mark.parametrize("variant", ["goe", "gaussian_diagonal"])
+@pytest.mark.parametrize("order", [8, 12])
+def test_batched_jackknife_matches_per_replicate_loop(variant, order):
+    from partialfree.analysis import _moment_stage
+    from partialfree.matrices import per_sample_moments
+    from partialfree.moments import free_convolve
+
+    spec = getattr(EnsembleSpec, variant)(8, seed=41)
+    t = 40
+    pairs = [sample_pair(spec, i) for i in range(t)]
+    m_a, m_b, m_s = (per_sample_moments(np.stack([np.linalg.eigvalsh(m) for m in mats]),
+                                        2 * order)
+                     for mats in ([p.a for p in pairs], [p.b for p in pairs],
+                                  [p.a + p.b for p in pairs]))
+    rows = _moment_stage(m_a, m_b, m_s, order, 0.01)
+
+    # the per-replicate loop of acceptance criterion 07, plus the sum side
+    predicted = np.array(free_convolve(m_a.mean(axis=0)[: order + 1].tolist(),
+                                       m_b.mean(axis=0)[: order + 1].tolist()))
+    tot_a, tot_b, tot_s = m_a.sum(axis=0), m_b.sum(axis=0), m_s.sum(axis=0)
+    loo = np.empty((t, order + 1))
+    loo_diff = np.empty((t, order + 1))
+    for i in range(t):
+        loo[i] = free_convolve(((tot_a - m_a[i]) / (t - 1))[: order + 1].tolist(),
+                               ((tot_b - m_b[i]) / (t - 1))[: order + 1].tolist())
+        loo_diff[i] = ((tot_s - m_s[i]) / (t - 1))[: order + 1] - loo[i]
+    pred_se = np.sqrt((t - 1) / t * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+    diff_se = np.sqrt((t - 1) / t * ((loo_diff - loo_diff.mean(axis=0)) ** 2).sum(axis=0))
+
+    def close(got, want, rtol):
+        assert abs(got - want) <= rtol * max(1.0, abs(want))
+
+    for row in rows:
+        k = row.order
+        close(row.predicted_free, predicted[k], 1e-12)
+        close(row.predicted_free_se, pred_se[k], 1e-10)
+        close(row.diff_se, diff_se[k], 1e-10)
+
+
 def test_word_table_rejects_dimension_mismatch():
     from partialfree.matrices import word_trace_table
     from partialfree.words import Word

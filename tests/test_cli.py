@@ -110,6 +110,21 @@ def test_analyze_t_beyond_records(tmp_path, capsys):
     assert code == 3
 
 
+def test_analyze_overflowing_entries_is_input_error(tmp_path, capsys):
+    # entries near 1e150 overflow x^3 in double precision; the run must stop
+    # with exit 3 naming the order, not emit NaN or fail in serialization
+    rng = np.random.default_rng(9)
+    path = tmp_path / "pairs.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for _ in range(40):
+            a, b = (g + g.T for g in rng.standard_normal((2, 3, 3)))
+            fh.write(json.dumps({"A": (1e150 * a).tolist(), "B": b.tolist()}) + "\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--threads", "2")
+    assert code == 3
+    assert "order 3" in err
+    assert out == ""
+
+
 def test_demo_pauli_reports_dimension_degree(capsys):
     code, out, _ = run_cli(capsys, "demo", "pauli", "--n", "8", "--threads", "1")
     assert code == 0

@@ -95,6 +95,56 @@ def test_round_trips_order_12_exact_mode():
         assert moments_from_classical_cumulants(classical_cumulants_from_moments(mu)) == mu
 
 
+def _goe_moments(order, t=40, n=16, seed=3):
+    """Mean spectral moments of A and B over t sampled GOE(n) pairs."""
+    from partialfree.matrices import EnsembleSpec, per_sample_moments, sample_pair
+
+    spec = EnsembleSpec.goe(n, seed=seed)
+    pairs = [sample_pair(spec, i) for i in range(t)]
+    return [per_sample_moments(np.stack([np.linalg.eigvalsh(getattr(p, side)) for p in pairs]),
+                               order).mean(axis=0).tolist()
+            for side in ("a", "b")]
+
+
+@pytest.mark.parametrize("order", [12, 16])
+def test_float_free_recursion_matches_exact_route_on_goe_moments(order):
+    mu_a, mu_b = _goe_moments(order)
+    exact_a, exact_b = ([Fraction(v) for v in mu] for mu in (mu_a, mu_b))
+    # the free cumulants themselves are small differences of order-K moments;
+    # the tolerance is pinned on what the pipeline reads, the moments
+
+    def close(got, want):
+        for g, w in zip(got, want, strict=True):
+            assert isinstance(g, float)
+            assert abs(g - float(w)) <= 1e-12 * max(1.0, abs(float(w)))
+
+    close(free_convolve(mu_a, mu_b), free_convolve(exact_a, exact_b))
+    close(moments_from_free_cumulants(free_cumulants_from_moments(mu_b)), exact_b)
+
+
+def test_exact_inputs_stay_exact():
+    ints = [1, 0, 1, 0, 1, 0, 1, 0, 1]
+    conv = free_convolve(ints, ints)
+    assert conv == [1, 0, 2, 0, 6, 0, 20, 0, 70]
+    assert all(type(v) is int for v in conv)
+    fracs = [Fraction(1), Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(1, 9)]
+    nu = free_cumulants_from_moments(fracs)
+    assert all(isinstance(v, (int, Fraction)) for v in nu)
+    assert [moment_from_free_cumulants_nc(nu, n) for n in range(5)] == fracs
+    assert moments_from_free_cumulants(nu) == fracs
+
+
+def test_free_convolve_batches_over_replicates():
+    # array elements carry one entry per replicate; each column must equal
+    # the scalar call on that column, operation for operation
+    rng = np.random.default_rng(5)
+    table_a, table_b = rng.uniform(-1, 1, size=(2, 10, 7))
+    batched = free_convolve([1, *table_a], [1, *table_b])
+    for r in range(7):
+        want = free_convolve([1.0, *table_a[:, r]], [1.0, *table_b[:, r]])
+        assert [float(v[r]) for v in batched[1:]] == want[1:]
+
+
 def test_classical_cumulants_examples():
     kappa = classical_cumulants_from_moments([1, 0, 1, 0, 3])
     assert kappa == [0, 0, 1, 0, 0]
