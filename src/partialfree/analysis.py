@@ -15,18 +15,21 @@ the density of the rotated sum is corrected by the leading asymptotic
 term (-1)^p (delta mu_p / p!) f^(p).
 
 All of it derives from one streaming pass over the sample indices (run on
-a chunked thread pool): each pair is drawn once and yields its spectral
-moments, its free-rotated and permuted sum spectra and one row of raw
-normalized word traces, and is then dropped.  Centered word traces and
-the free word predictions both follow from the raw table afterwards,
-through one linear inclusion-exclusion map (moments.centering_map), so no
-pair is ever regenerated.
+a chunked thread pool): each pair is drawn once and leaves only raw
+observations, the spectrum of A + B and one row of raw normalized traces
+tr(W)/N of every necklace through the scan order (plus, for a full run,
+its free-rotated and permuted sum spectra), and is then dropped.  The
+pure words A^k and B^k are necklaces too, so the pure moments are columns
+of that raw table; the moments of A + B are powers of its spectrum.
+Centered word traces and the free word predictions both follow from the
+raw table through one linear inclusion-exclusion map
+(moments.centering_map), so no pair is ever regenerated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -155,46 +158,42 @@ class DensityEstimate:
 
 @dataclass(frozen=True)
 class _SampleTables:
-    """What the single pass over the sample indices keeps (row i = sample i).
+    """The raw observations of the single pass (row i = sample i).
 
-    ``m_a``, ``m_b``, ``m_s`` hold the spectral moments of A, B and A + B;
-    ``traces`` the raw normalized traces of ``words``: the empty word, then
-    the necklaces by order.  The spectrum pools are filled for
+    ``sums`` holds the spectrum of A + B.  ``traces`` holds the raw
+    normalized traces of ``words``: the empty word, then the necklaces by
+    order, among them the pure powers A^k and B^k (see ``_pure_moments``).
+    The free-rotated and permuted spectrum pools are filled for
     ``run_analysis`` only.
     """
 
-    m_a: np.ndarray
-    m_b: np.ndarray
-    m_s: np.ndarray
     words: list[Word]
     traces: np.ndarray
+    sums: np.ndarray
     free_pool: np.ndarray | None = None
-    sum_pool: np.ndarray | None = None
     classical_pool: np.ndarray | None = None
 
 
-def _sample_pass(draw, count: int, dimension: int, order2: int, necklaces_by_order,
-                 threads: int, config: AnalysisConfig | None = None) -> _SampleTables:
-    """Draw each pair once and record everything the pipeline reads from it.
+def _sample_pass(draw, count: int, dimension: int, necklaces_by_order, threads: int,
+                 config: AnalysisConfig | None = None) -> _SampleTables:
+    """Draw each pair once and record the raw observations taken from it.
 
-    ``draw(i)`` returns the i-th pair.  Every quantity is a function of the
-    index alone (the spectra use the per-index streams), so the tables do
-    not depend on ``threads``.  With ``config`` the free-rotated, exact and
-    permuted sum spectra are pooled as well.
+    ``draw(i)`` returns the i-th pair.  Each pair yields the spectrum of
+    A + B and one row of raw word traces; with ``config`` also its
+    free-rotated spectra and, if enabled, its permuted spectrum.  Every
+    quantity is a function of the index alone (the spectra use the
+    per-index streams), so the tables do not depend on ``threads``.
     """
     words = [Word.empty()] + [n.word for necklaces in necklaces_by_order.values()
                               for n in necklaces]
     plan = WordTracePlan(words)
-    m_a = np.empty((count, order2 + 1))
-    m_b = np.empty((count, order2 + 1))
-    m_s = np.empty((count, order2 + 1))
     traces = np.empty((count, plan.size))
-    free_pool = sum_pool = classical_pool = None
+    sums = np.empty((count, dimension))
+    free_pool = classical_pool = None
     if config is not None:
         rotations = config.free_rotations
         seed = config.ensemble.seed
         free_pool = np.empty((count * rotations, dimension))
-        sum_pool = np.empty((count, dimension)) if config.include_exact_sum else None
         classical_pool = np.empty((count, dimension)) if config.include_classical else None
 
     def run_chunk(indices):
@@ -205,36 +204,41 @@ def _sample_pass(draw, count: int, dimension: int, order2: int, necklaces_by_ord
                 raise ValueError(
                     f"sample {i} has dimension {pair.dimension}, expected {dimension}"
                 )
-            ea = np.linalg.eigvalsh(pair.a)
-            eb = np.linalg.eigvalsh(pair.b)
-            es = np.linalg.eigvalsh(pair.a + pair.b)
+            sums[i] = np.linalg.eigvalsh(pair.a + pair.b)
             # errstate is per thread; the finite check below reports overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                m_a[i] = per_sample_moments(ea, order2)[0]
-                m_b[i] = per_sample_moments(eb, order2)[0]
-                m_s[i] = per_sample_moments(es, order2)[0]
                 traces[i] = plan.traces(powers.load(pair))
             if config is None:
                 continue
-            if sum_pool is not None:
-                sum_pool[i] = es
             for j in range(rotations):
                 spectrum = sample_free_sum_spectrum(pair, stream(seed, i, _FREE_STREAM, j))
                 free_pool[i * rotations + j] = spectrum.eigenvalues
             if classical_pool is not None:
-                spectrum = sample_classical_sum_spectrum(
-                    pair, stream(seed, i, _CLASSICAL_STREAM), eigenvalues=(ea, eb))
+                spectrum = sample_classical_sum_spectrum(pair, stream(seed, i, _CLASSICAL_STREAM))
                 classical_pool[i] = spectrum.eigenvalues
 
     for_each_chunk(count, threads, run_chunk)
-    checks = [(f"moment of {name}", table, range(order2 + 1))
-              for name, table in (("A", m_a), ("B", m_b), ("A + B", m_s))]
-    for what, table, orders in checks + [("word trace", traces, [w.length for w in words])]:
-        bad = np.flatnonzero(~np.isfinite(table).all(axis=0))
-        if bad.size:
-            raise InputError(f"non-finite sample {what} at order {orders[bad[0]]}: "
-                             "entries too large for double-precision powers")
-    return _SampleTables(m_a, m_b, m_s, words, traces, free_pool, sum_pool, classical_pool)
+    _require_finite(traces, "word trace", [w.length for w in words])
+    return _SampleTables(words, traces, sums, free_pool, classical_pool)
+
+
+def _require_finite(table: np.ndarray, what: str, orders) -> None:
+    """InputError naming the order of the first column with a non-finite entry."""
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=0))
+    if bad.size:
+        raise InputError(f"non-finite sample {what} at order {orders[bad[0]]}: "
+                         "entries too large for double-precision powers")
+
+
+def _pure_moments(tables: _SampleTables, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample moments tr(X^k)/N, k = 0..order, of A and of B.
+
+    The pure word X^k is the necklace of order k with one block, so each
+    moment is a column of the raw trace table (the empty word gives k = 0).
+    """
+    column = {word: j for j, word in enumerate(tables.words)}
+    return tuple(tables.traces[:, [column[Word(((letter, k),))] for k in range(order + 1)]]
+                 for letter in (0, 1))
 
 
 def _necklaces_through(order: int) -> dict:
@@ -259,8 +263,8 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
     call yields the point prediction and every jackknife replicate.
     """
     t = m_a.shape[0]
-    if m_a.shape[1] < 2 * order + 1:
-        raise ValueError(f"need sample moments through order {2 * order}")
+    if m_s.shape[1] < 2 * order + 1:
+        raise ValueError(f"need sample moments of A + B through order {2 * order}")
     mean_s = m_s.mean(axis=0)
 
     def replicates(m):
@@ -325,7 +329,10 @@ def _detect(tables: _SampleTables, necklaces_by_order, order: int, alpha: float)
     """
     moment_level = alpha / (2 * order)
     word_level = alpha / (2 * _word_family_size(order))
-    rows = _moment_stage(tables.m_a, tables.m_b, tables.m_s, order, moment_level)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_s = per_sample_moments(tables.sums, 2 * order)
+    _require_finite(m_s, "moment of A + B", range(2 * order + 1))
+    rows = _moment_stage(*_pure_moments(tables, order), m_s, order, moment_level)
     stats_by_order = _word_statistics(necklaces_by_order, tables, word_level)
     degree = None
     triggered_by = None
@@ -349,8 +356,7 @@ def _word_statistics(necklaces_by_order, tables: _SampleTables,
     The centered traces tr(prod (X^e - mu_e))/N are the raw table times the
     inclusion-exclusion map, and the free predictions solve that same map.
     """
-    mu_a = tables.m_a.mean(axis=0)
-    mu_b = tables.m_b.mean(axis=0)
+    mu_a, mu_b = (m.mean(axis=0) for m in _pure_moments(tables, max(necklaces_by_order)))
     expansion = centering_map(tables.words, mu_a, mu_b)
     centered = tables.traces @ expansion
     free = free_word_moments(expansion)
@@ -380,7 +386,7 @@ def detect_degree(samples, order: int, alpha: float, threads: int = 1) -> Degree
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     necklaces_by_order = _necklaces_through(order)
     tables = _sample_pass(samples.__getitem__, len(samples), samples[0].dimension,
-                          2 * order, necklaces_by_order, threads)
+                          necklaces_by_order, threads)
     result, _ = _detect(tables, necklaces_by_order, order, alpha)
     return result
 
@@ -436,7 +442,7 @@ def localize_violations(samples, degree: int, alpha: float,
         raise ConfigError("need samples")
     necklaces_by_order = _necklaces_through(degree)
     tables = _sample_pass(samples.__getitem__, len(samples), samples[0].dimension,
-                          degree, necklaces_by_order, threads)
+                          necklaces_by_order, threads)
     level = alpha / len(necklaces_by_order[degree])
     return _word_statistics(necklaces_by_order, tables, level)[degree]
 
@@ -644,8 +650,10 @@ class FreenessReport:
         return {
             "config": self.config,
             "degree": self.degree,
-            "moments": [_moment_row_dict(row) for row in self.moments],
-            "words": [_word_stat_dict(stat) for stat in self.words],
+            "moments": [{**asdict(row), "z": _finite_or_none(row.z)}
+                        for row in self.moments],
+            "words": [{**asdict(stat), "word": stat.word.to_string()}
+                      for stat in self.words],
             "densities": self.densities,
             "notes": list(self.notes),
         }
@@ -657,11 +665,13 @@ class FreenessReport:
                           allow_nan=False) + "\n"
 
     def densities_csv(self) -> str:
+        names = ("f_sum", "f_free", "f_corrected", "f_classical")
+        header = ",".join(("grid",) + names)
         if not self.densities:
-            return "grid,f_sum,f_free,f_corrected\n"
+            return header + "\n"
         grid = self.densities["grid"]
-        columns = [self.densities.get(k) for k in ("f_sum", "f_free", "f_corrected")]
-        lines = ["grid,f_sum,f_free,f_corrected"]
+        columns = [self.densities.get(k) for k in names]
+        lines = [header]
         for i, x in enumerate(grid):
             cells = [repr(x)]
             for col in columns:
@@ -676,49 +686,13 @@ def _finite_or_none(x: float) -> float | str:
     return float(x)
 
 
-def _moment_row_dict(row: MomentRow) -> dict:
-    return {
-        "order": row.order,
-        "estimate": row.estimate,
-        "se": row.se,
-        "predicted_free": row.predicted_free,
-        "predicted_free_se": row.predicted_free_se,
-        "diff": row.diff,
-        "diff_se": row.diff_se,
-        "z": _finite_or_none(row.z),
-        "p_value": row.p_value,
-        "reject": row.reject,
-        "sampled_free": row.sampled_free,
-        "sampled_free_se": row.sampled_free_se,
-        "sampled_classical": row.sampled_classical,
-        "sampled_classical_se": row.sampled_classical_se,
-    }
-
-
-def _word_stat_dict(stat: WordStatistic) -> dict:
-    return {
-        "word": stat.word.to_string(),
-        "multiplicity": stat.multiplicity,
-        "estimate": stat.estimate,
-        "se": stat.se,
-        "classical_prediction": stat.classical_prediction,
-        "free_prediction": stat.free_prediction,
-        "centered_estimate": stat.centered_estimate,
-        "centered_se": stat.centered_se,
-        "p_value_classical": stat.p_value_classical,
-        "p_value_free": stat.p_value_free,
-        "flagged_classical": stat.flagged_classical,
-        "flagged_free": stat.flagged_free,
-    }
-
-
 def run_analysis(config: AnalysisConfig) -> FreenessReport:
     """Run the full sampling / testing / density pipeline for one ensemble."""
     config.validate()
     spec = config.ensemble
     t, order = config.sample_count, config.order
     necklaces_by_order = _necklaces_through(order)
-    tables = _sample_pass(lambda i: sample_pair(spec, i), t, spec.dimension, 2 * order,
+    tables = _sample_pass(lambda i: sample_pair(spec, i), t, spec.dimension,
                           necklaces_by_order, config.threads, config)
     degree_result, stats_by_order = _detect(tables, necklaces_by_order, order,
                                             config.alpha)
@@ -760,8 +734,9 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
         else:
             delta_mu = degree_result.rows[degree - 1].diff
 
+    sum_pool = tables.sums if config.include_exact_sum else None
     densities = _density_section(config, degree, delta_mu, tables.free_pool,
-                                 tables.sum_pool, tables.classical_pool, notes)
+                                 sum_pool, tables.classical_pool, notes)
     if not config.include_exact_sum:
         notes.append("exact-sum sampling disabled; f_sum density omitted")
     if not config.include_classical:
@@ -792,8 +767,13 @@ def _walk_sum_notes(spec: EnsembleSpec, flagged) -> list[str]:
 
 
 def _density_section(config, degree, delta_mu, free_pool, sum_pool,
-                     classical_pool, notes) -> dict:
+                     classical_pool, notes) -> dict | None:
     flat_free = free_pool.ravel()
+    if np.ptp(flat_free) <= config.grid_points * np.spacing(np.abs(flat_free).max()):
+        # a point mass: no grid of grid_points steps resolves its spread
+        notes.append("free-rotated spectra have no spread at double precision "
+                     "(point mass); densities omitted")
+        return None
     h0 = silverman_bandwidth(flat_free)
     if degree is not None:
         hp = silverman_bandwidth(flat_free, degree)

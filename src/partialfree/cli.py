@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         p.add_argument("--no-exact-sum", action="store_true",
-                       help="skip sampling the exact sum's spectrum")
+                       help="omit the exact sum's density f_sum")
         p.add_argument("--no-classical", action="store_true",
                        help="skip the permutation-paired spectrum")
 
@@ -103,23 +103,16 @@ def _cmd_convolve(args) -> int:
     mu_a = _parse_floats(args.moments_a, "--moments-a")
     mu_b = _parse_floats(args.moments_b, "--moments-b")
     convolve = moments.free_convolve if args.free else moments.classical_convolve
-    try:
-        result = convolve(mu_a, mu_b, args.order)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    result = convolve(mu_a, mu_b, args.order)
     print(",".join(repr(float(v)) for v in result))
     return 0
 
 
 def _cmd_pathsum(args) -> int:
     entry_moments = _parse_floats(args.moments, "--moments")
-    try:
-        word = Word.from_string(args.word, k=2)
-        model = pathsum.LatticeModel.chain(args.chain, entry_moments,
-                                           circulant=args.circulant)
-        value = pathsum.exact_word_net(word, model)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    word = Word.from_string(args.word, k=2)
+    model = pathsum.LatticeModel.chain(args.chain, entry_moments, circulant=args.circulant)
+    value = pathsum.exact_word_net(word, model)
     print(repr(float(value)))
     return 0
 

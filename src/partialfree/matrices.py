@@ -176,6 +176,7 @@ def _rotation(theta: float) -> np.ndarray:
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
+# the most recently parsed path only:
 # path -> ((st_mtime_ns, st_size) when parsed, records)
 _file_cache: dict[str, tuple[tuple[int, int], list[MatrixPairSample]]] = {}
 
@@ -217,6 +218,7 @@ def _load_pair_file(path: str) -> list[MatrixPairSample]:
             records.append(pair)
     if not records:
         raise InputError(f"{path}: no records")
+    _file_cache.clear()
     _file_cache[path] = (stamp, records)
     return records
 
@@ -307,19 +309,17 @@ def sample_free_sum_spectrum(pair: MatrixPairSample,
     return SpectrumSample(np.linalg.eigvalsh(m), "free-rotated")
 
 
-def sample_classical_sum_spectrum(pair: MatrixPairSample, rng: np.random.Generator,
-                                  eigenvalues=None) -> SpectrumSample:
+def sample_classical_sum_spectrum(pair: MatrixPairSample,
+                                  rng: np.random.Generator) -> SpectrumSample:
     """Spectrum of Lambda_A + Pi Lambda_B Pi^T with a uniform permutation Pi.
 
     The permutation shuffles eigenvalues of B against those of A, so the
     aggregated law is the classical convolution of the two spectral laws
     (one eigenvalue of each, paired at random).  Conjugating the raw B by a
     permutation matrix would not achieve this for noncommuting pairs.
-    ``eigenvalues`` may pass the already computed (eig(A), eig(B)).
     """
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvalsh(pair.a), np.linalg.eigvalsh(pair.b)
-    ea, eb = eigenvalues
+    ea = np.linalg.eigvalsh(pair.a)
+    eb = np.linalg.eigvalsh(pair.b)
     perm = rng.permutation(pair.dimension)
     return SpectrumSample(np.sort(ea + eb[perm]), "permuted")
 
@@ -518,31 +518,25 @@ class WordTracePlan:
         return out
 
 
-def word_trace_table(pairs, words, threads: int = 1) -> np.ndarray:
+def word_trace_table(pairs, words) -> np.ndarray:
     """Raw normalized traces tr(W)/N per sample and word.
 
     Returns an array of shape (t, len(words)); the empty word reads 1.
     Centered traces are linear in this table (see moments.centering_map).
     """
-    if not hasattr(pairs, "__getitem__"):
-        pairs = list(pairs)
+    pairs = list(pairs)
     plan = WordTracePlan(words)
-    if len(pairs) == 0:
+    if not pairs:
         raise ValueError("need at least one sample")
     dimension = pairs[0].dimension
     out = np.empty((len(pairs), plan.size))
-
-    def run_chunk(indices):
-        powers = PairPowers()
-        for i in indices:
-            pair = pairs[i]
-            if pair.dimension != dimension:
-                raise ValueError(
-                    f"sample {i} has dimension {pair.dimension}, expected {dimension}"
-                )
-            out[i] = plan.traces(powers.load(pair))
-
-    for_each_chunk(len(pairs), threads, run_chunk)
+    powers = PairPowers()
+    for i, pair in enumerate(pairs):
+        if pair.dimension != dimension:
+            raise ValueError(
+                f"sample {i} has dimension {pair.dimension}, expected {dimension}"
+            )
+        out[i] = plan.traces(powers.load(pair))
     return out
 
 

@@ -352,7 +352,7 @@ def test_report_serialization_deterministic(diagonal_report):
     assert set(payload["densities"]) >= {"grid", "f_sum", "f_free", "f_corrected"}
     csv = report.densities_csv()
     lines = csv.strip().split("\n")
-    assert lines[0] == "grid,f_sum,f_free,f_corrected"
+    assert lines[0] == "grid,f_sum,f_free,f_corrected,f_classical"
     assert len(lines) == 1 + len(payload["densities"]["grid"])
 
 
@@ -442,8 +442,8 @@ def test_word_table_rejects_dimension_mismatch():
 
 
 def test_pipeline_classical_moments_match_public_sampler():
-    # the pass hands its eig(A), eig(B) to the permuted-sum sampler; the
-    # result must equal what the public sampler computes on its own
+    # the pass's permuted-sum spectra must equal what the public sampler
+    # draws from the same per-index streams
     from partialfree.analysis import _CLASSICAL_STREAM
     from partialfree.matrices import estimate_moments, sample_classical_sum_spectrum, stream
 

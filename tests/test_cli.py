@@ -125,6 +125,29 @@ def test_analyze_overflowing_entries_is_input_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("a, b", [(np.zeros((3, 3)), np.zeros((3, 3))),
+                                  (np.eye(3), np.eye(3))], ids=["zero", "identity"])
+def test_analyze_point_mass_pairs_end_in_a_report(tmp_path, capsys, a, b):
+    # the degree scan is well defined on constant pairs; only the densities
+    # are not, since the free-rotated spectra have no spread to smooth
+    path = tmp_path / "pairs.jsonl"
+    path.write_text((json.dumps({"A": a.tolist(), "B": b.tolist()}) + "\n") * 40)
+    code, out, _ = run_cli(capsys, "analyze", "--input", str(path), "--threads", "2")
+    assert code == 0
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert "degree" in payload
+    assert payload["densities"] is None
+    assert any("no spread at double precision" in note for note in payload["notes"])
+
+
+def test_pathsum_bad_word_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "pathsum", "--word", "AXB", "--chain", "4",
+                             "--moments", "0,1")
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+
+
 def test_demo_pauli_reports_dimension_degree(capsys):
     code, out, _ = run_cli(capsys, "demo", "pauli", "--n", "8", "--threads", "1")
     assert code == 0
@@ -151,7 +174,7 @@ def test_demo_csv_densities(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "grid,f_sum,f_free,f_corrected"
+    assert lines[0] == "grid,f_sum,f_free,f_corrected,f_classical"
     assert len(lines) > 100
 
 

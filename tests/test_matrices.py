@@ -334,13 +334,16 @@ def test_load_pair_file_sees_rewritten_file(tmp_path):
     assert len(load_pair_file(str(path))) == 3
 
 
-def test_word_trace_table_threads_match_serial():
-    spec = EnsembleSpec.goe(8, seed=17)
-    samples = [sample_pair(spec, i) for i in range(12)]
-    words = [Word.from_string(w) for w in ("AB", "AABB", "ABAB")]
-    serial = word_trace_table(samples, words)
-    threaded = word_trace_table(samples, words, threads=4)
-    assert np.array_equal(serial, threaded)
+def test_file_cache_keeps_only_the_latest_path(tmp_path):
+    from partialfree.matrices import _file_cache
+
+    record = json.dumps({"A": [[1.0]], "B": [[2.0]]}) + "\n"
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    first.write_text(record)
+    second.write_text(record * 2)
+    assert len(load_pair_file(str(first))) == 1
+    assert len(load_pair_file(str(second))) == 2
+    assert list(_file_cache) == [str(second)]
 
 
 def test_convergence_rate_of_word_se():
