@@ -35,6 +35,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .matrices import (
+    _CLASSICAL_STREAM,
+    _FREE_STREAM,
     EnsembleSpec,
     PairPowers,
     WordTracePlan,
@@ -52,15 +54,14 @@ from .moments import (
     classical_joint_moment,
     free_convolve,
     free_word_moments,
+    moments_from_classical_cumulants,
 )
-from .series import complete_bell, hermite
+from .series import hermite
 from .words import Word, necklace_count, word_expansion
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 _EXACT_ATOL = 1e-9
-
-_FREE_STREAM, _CLASSICAL_STREAM = 1, 2
 
 
 def _two_sided_test(diff: float, se: float, scale: float) -> tuple[float, float]:
@@ -160,26 +161,27 @@ class DensityEstimate:
 class _SampleTables:
     """The raw observations of the single pass (row i = sample i).
 
-    ``sums`` holds the spectrum of A + B.  ``traces`` holds the raw
-    normalized traces of ``words``: the empty word, then the necklaces by
-    order, among them the pure powers A^k and B^k (see ``_pure_moments``).
-    The free-rotated and permuted spectrum pools are filled for
-    ``run_analysis`` only.
+    ``sums`` holds the spectrum of A + B (None for localization, which
+    never reads it).  ``traces`` holds the raw normalized traces of
+    ``words``: the empty word, then the necklaces by order, among them the
+    pure powers A^k and B^k (see ``_pure_moments``).  The free-rotated and
+    permuted spectrum pools are filled for ``run_analysis`` only.
     """
 
     words: list[Word]
     traces: np.ndarray
-    sums: np.ndarray
+    sums: np.ndarray | None
     free_pool: np.ndarray | None = None
     classical_pool: np.ndarray | None = None
 
 
 def _sample_pass(draw, count: int, dimension: int, necklaces_by_order, threads: int,
-                 config: AnalysisConfig | None = None) -> _SampleTables:
+                 config: AnalysisConfig | None = None,
+                 with_sums: bool = True) -> _SampleTables:
     """Draw each pair once and record the raw observations taken from it.
 
-    ``draw(i)`` returns the i-th pair.  Each pair yields the spectrum of
-    A + B and one row of raw word traces; with ``config`` also its
+    ``draw(i)`` returns the i-th pair.  Each pair yields one row of raw word
+    traces, the spectrum of A + B if ``with_sums`` and, with ``config``, its
     free-rotated spectra and, if enabled, its permuted spectrum.  Every
     quantity is a function of the index alone (the spectra use the
     per-index streams), so the tables do not depend on ``threads``.
@@ -188,7 +190,7 @@ def _sample_pass(draw, count: int, dimension: int, necklaces_by_order, threads: 
                               for n in necklaces]
     plan = WordTracePlan(words)
     traces = np.empty((count, plan.size))
-    sums = np.empty((count, dimension))
+    sums = np.empty((count, dimension)) if with_sums else None
     free_pool = classical_pool = None
     if config is not None:
         rotations = config.free_rotations
@@ -204,7 +206,8 @@ def _sample_pass(draw, count: int, dimension: int, necklaces_by_order, threads: 
                 raise ValueError(
                     f"sample {i} has dimension {pair.dimension}, expected {dimension}"
                 )
-            sums[i] = np.linalg.eigvalsh(pair.a + pair.b)
+            if sums is not None:
+                sums[i] = np.linalg.eigvalsh(pair.a + pair.b)
             # errstate is per thread; the finite check below reports overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 traces[i] = plan.traces(powers.load(pair))
@@ -442,7 +445,7 @@ def localize_violations(samples, degree: int, alpha: float,
         raise ConfigError("need samples")
     necklaces_by_order = _necklaces_through(degree)
     tables = _sample_pass(samples.__getitem__, len(samples), samples[0].dimension,
-                          necklaces_by_order, threads)
+                          necklaces_by_order, threads, with_sums=False)
     level = alpha / len(necklaces_by_order[degree])
     return _word_statistics(necklaces_by_order, tables, level)[degree]
 
@@ -464,10 +467,14 @@ def silverman_bandwidth(values, derivative_order: int = 0) -> float:
     n = values.size
     if n < 2:
         raise ValueError("bandwidth selection needs at least two values")
-    std = float(values.std())
-    q75, q25 = np.percentile(values, [75.0, 25.0])
+    # spread of values / 2**e, 2**(e-1) <= max|v| < 2**e: the power-of-two
+    # scaling is exact, and squares of tiny values no longer underflow
+    _, e = np.frexp(np.abs(values).max())
+    unit = np.ldexp(values, -e)
+    std = float(unit.std())
+    q75, q25 = np.percentile(unit, [75.0, 25.0])
     iqr = float(q75 - q25)
-    scale = min(std, iqr / 1.34) if iqr > 0 else std
+    scale = math.ldexp(min(std, iqr / 1.34) if iqr > 0 else std, int(e))
     if scale <= 0:
         raise ValueError("zero-variance sample: density estimate is degenerate")
     r = derivative_order
@@ -571,10 +578,9 @@ def gram_charlier_coefficients(mu, reference: str = "standard-gaussian") -> list
     if reference != "standard-gaussian":
         raise ValueError(f"unsupported reference {reference!r}")
     kappa = classical_cumulants_from_moments(mu)
-    delta = list(kappa[1:])
-    if len(delta) >= 2:
-        delta[1] = delta[1] - 1
-    return [complete_bell(n, delta[:n]) for n in range(len(kappa))]
+    if len(kappa) > 2:
+        kappa[2] -= 1
+    return moments_from_classical_cumulants(kappa)
 
 
 def ks_statistic(values, cdf) -> float:

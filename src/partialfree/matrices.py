@@ -21,7 +21,8 @@ from .words import Word
 
 _SYMMETRY_ATOL = 1e-12
 
-_PAIR, _HAAR, _PERM = 0, 1, 2
+# stream(seed, index, key) purposes: the pair, its free rotations, its permuted sum
+_PAIR_STREAM, _FREE_STREAM, _CLASSICAL_STREAM = 0, 1, 2
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -242,7 +243,7 @@ def sample_pair(spec: EnsembleSpec, index: int) -> MatrixPairSample:
         a, b = pauli_block_matrices(n)
         return MatrixPairSample(a, b)
 
-    rng = stream(spec.seed, index, _PAIR)
+    rng = stream(spec.seed, index, _PAIR_STREAM)
     if spec.variant == "goe":
         scale = math.sqrt(2.0 * n)
         ga = rng.standard_normal((n, n))

@@ -5,12 +5,12 @@ Free cumulant sequences nu have nu[0] = 1 by convention; classical
 cumulant sequences kappa use kappa[0] = 0 as a placeholder so that
 kappa[j] is the j-th cumulant throughout.
 
-Free cumulants and moments determine each other through the division-free
-recursion mu_n = sum_s nu_s [z^(n-s)] M(z)^s (Speicher, Math. Ann. 298,
-1994), which runs unchanged on exact numbers, floats and arrays of
-jackknife replicates; classical cumulants come from the log of the
-exponential moment generating series.  Both families add componentwise
-under their respective convolutions of spectral measures.
+Either cumulant family maps to the moments and back by a division-free
+recursion that runs on exact numbers, floats and arrays of jackknife
+replicates: mu_n = sum_s nu_s [z^(n-s)] M(z)^s (free; Speicher, Math. Ann.
+298, 1994) and mu_n = sum_k C(n-1, k-1) kappa_k mu_(n-k) (classical; Smith,
+Am. Stat. 49, 1995).  Free cumulants add under the free convolution; the
+classical one is the binomial sum of the two moment sequences.
 
 The joint-moment rules at the bottom are the exact side of the freeness
 test: a cyclic two-letter word has one value forced by classical
@@ -21,12 +21,11 @@ independence (letters commute) and another forced by free independence
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isfinite, pi, sqrt, asin
+from math import asin, comb, isfinite, pi, sqrt
 
 import numpy as np
 
-from .series import PowerSeries, _is_exact, complete_bell
+from .series import _classical_recursion, _is_exact
 from .words import Word, word_expansion
 
 
@@ -76,42 +75,14 @@ def moments_from_free_cumulants(nu) -> list:
     return _free_recursion(_check_moments(nu, "nu"), to_moments=True)
 
 
-def _log_series(order: int) -> PowerSeries:
-    one = Fraction(1)
-    return PowerSeries((0,) + tuple((-one if m % 2 == 0 else one) / m
-                                    for m in range(1, order + 1)))
-
-
-def _exactify(values):
-    """Exact rational copy of a numeric sequence (floats convert losslessly)."""
-    return [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in values]
-
-
 def classical_cumulants_from_moments(mu) -> list:
     """Classical cumulants kappa_1..kappa_K (kappa[0] = 0 placeholder).
 
-    kappa is the log of the exponential moment generating series:
-    log(sum mu_n t^n / n!) = sum kappa_n t^n / n!.  The factorial weights
-    amplify rounding badly at higher orders, so the composition always runs
-    in exact rational arithmetic; float inputs come back as floats.
+    kappa is the log of the exponential moment generating series,
+    log(sum mu_n t^n / n!) = sum kappa_n t^n / n!, solved order by order
+    from mu_n = sum_{k=1..n} C(n-1, k-1) kappa_k mu_(n-k).
     """
-    mu = _check_moments(mu)
-    exact = _is_exact(mu)
-    work = _exactify(mu)
-    order = len(work) - 1
-    fact = Fraction(1)
-    egf = [Fraction(1)]
-    for n in range(1, order + 1):
-        fact = fact / n
-        egf.append(work[n] * fact)
-    shifted = PowerSeries((0,) + tuple(egf[1:]))
-    log_egf = _log_series(order).compose(shifted)
-    kappa = [Fraction(0)]
-    fact = Fraction(1)
-    for n in range(1, order + 1):
-        fact = fact * n
-        kappa.append(log_egf.coeffs[n] * fact)
-    return kappa if exact else [float(v) for v in kappa]
+    return _classical_recursion(_check_moments(mu), to_moments=False)
 
 
 def moments_from_classical_cumulants(kappa) -> list:
@@ -119,13 +90,11 @@ def moments_from_classical_cumulants(kappa) -> list:
     kappa = tuple(kappa)
     if not kappa:
         raise ValueError("empty cumulant sequence")
-    exact = _is_exact(kappa)
-    tail = _exactify(kappa[1:])
-    out = [complete_bell(n, tail[:n]) for n in range(len(kappa))]
-    return out if exact else [float(v) for v in out]
+    return _classical_recursion(kappa, to_moments=True)
 
 
-def _convolve(mu_a, mu_b, order, to_cumulants, from_cumulants):
+def _truncated(mu_a, mu_b, order):
+    """Both moment sequences, checked and cut to orders 0..order (default: all shared)."""
     mu_a = _check_moments(mu_a, "mu_a")
     mu_b = _check_moments(mu_b, "mu_b")
     if order is None:
@@ -135,10 +104,7 @@ def _convolve(mu_a, mu_b, order, to_cumulants, from_cumulants):
             f"order {order} exceeds the available moments "
             f"({len(mu_a) - 1} and {len(mu_b) - 1})"
         )
-    ca = to_cumulants(mu_a[: order + 1])
-    cb = to_cumulants(mu_b[: order + 1])
-    summed = [ca[0]] + [ca[j] + cb[j] for j in range(1, order + 1)]
-    return from_cumulants(summed)
+    return mu_a[: order + 1], mu_b[: order + 1]
 
 
 def free_convolve(mu_a, mu_b, order: int | None = None) -> list:
@@ -147,14 +113,20 @@ def free_convolve(mu_a, mu_b, order: int | None = None) -> list:
     Free cumulants add for k >= 1; nu_0 stays 1, which keeps the result a
     normalized moment sequence.
     """
-    return _convolve(mu_a, mu_b, order,
-                     free_cumulants_from_moments, moments_from_free_cumulants)
+    mu_a, mu_b = _truncated(mu_a, mu_b, order)
+    ca = free_cumulants_from_moments(mu_a)
+    cb = free_cumulants_from_moments(mu_b)
+    return moments_from_free_cumulants([ca[0]] + [x + y for x, y in zip(ca[1:], cb[1:])])
 
 
 def classical_convolve(mu_a, mu_b, order: int | None = None) -> list:
-    """Moments of the classical additive convolution through ``order``."""
-    return _convolve(mu_a, mu_b, order,
-                     classical_cumulants_from_moments, moments_from_classical_cumulants)
+    """Moments of the classical additive convolution through ``order``.
+
+    The moments of a sum of independent variables: mu_n = sum_k C(n, k) a_k b_(n-k).
+    """
+    mu_a, mu_b = _truncated(mu_a, mu_b, order)
+    return [sum(comb(n, k) * mu_a[k] * mu_b[n - k] for k in range(n + 1))
+            for n in range(len(mu_a))]
 
 
 @dataclass(frozen=True)

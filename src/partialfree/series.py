@@ -143,22 +143,38 @@ def cauchy_series_from_moments(mu) -> PowerSeries:
     return PowerSeries((0,) + mu)
 
 
-def complete_bell(n: int, a) -> float | Fraction:
+def _classical_recursion(seq, to_moments: bool) -> list:
+    """Moments from classical cumulants, or back, without division.
+
+    m_n = sum_{k=1..n} C(n-1, k-1) kappa_k m_(n-k) (Smith, Am. Stat. 49,
+    1995), solved for m_n or for kappa_n order by order: O(K^2) operations,
+    all + - *.  Index 0 is m_0 = 1 and the placeholder kappa_0 = 0; neither
+    is read.  Elements may be int, Fraction, float or equal-length 1-D
+    arrays (one entry per replicate); exact inputs stay exact.
+    """
+    mu = [1] if to_moments else list(seq)
+    kappa = list(seq) if to_moments else [0]
+    for n in range(1, len(seq)):
+        tail = sum(comb(n - 1, k - 1) * kappa[k] * mu[n - k] for k in range(1, n))
+        if to_moments:
+            mu.append(kappa[n] + tail)
+        else:
+            kappa.append(mu[n] - tail)
+    return mu if to_moments else kappa
+
+
+def complete_bell(n: int, a):
     """Complete Bell polynomial B_n(a_1..a_n).
 
-    Defined by exp(sum_j a_j t^j / j!) = sum_n B_n t^n / n!, computed via the
-    recurrence B_n = sum_j C(n-1, j-1) a_j B_{n-j}, with B_0 = 1.
+    Defined by exp(sum_j a_j t^j / j!) = sum_n B_n t^n / n!: the moment of
+    order n of the classical cumulants a_1..a_n, with B_0 = 1.
     """
     if n < 0:
         raise ValueError("complete_bell needs n >= 0")
     a = tuple(a)
     if len(a) < n:
         raise ValueError(f"need at least {n} arguments a_1..a_n, got {len(a)}")
-    one = Fraction(1) if _is_exact(a) else 1.0
-    b = [one]
-    for m in range(1, n + 1):
-        b.append(sum(comb(m - 1, j - 1) * a[j - 1] * b[m - j] for j in range(1, m + 1)))
-    return b[n]
+    return _classical_recursion((0,) + a[:n], to_moments=True)[n]
 
 
 def hermite(n: int, x):

@@ -2,14 +2,16 @@
 
 Everything here recomputes results by a different route than the library:
 strings are grouped by literal rotation, free moments come from explicit
-non-crossing partitions, series reversion from the Lagrange formula, and
-word traces from index sums over matrix entries or from explicit block
-powers.  None of it calls the code paths under test beyond basic data
-types.
+non-crossing partitions, classical cumulants from the logarithm of the
+exponential moment generating series, series reversion from the Lagrange
+formula, and word traces from index sums over matrix entries or from
+explicit block powers.  None of it calls the code paths under test beyond
+basic data types.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import numpy as np
 
@@ -104,17 +106,20 @@ def moment_from_free_cumulants_nc(nu, n):
     return total
 
 
-def classical_cumulants_recursive(mu):
-    """kappa_n = mu_n - sum C(n-1, k-1) kappa_k mu_{n-k} (log-EGF recursion)."""
-    from math import comb
+def classical_cumulants_log_egf(mu):
+    """kappa_n = n! [t^n] log(sum_n mu_n t^n / n!), kappa[0] = 0.
 
-    kappa = [Fraction(0)]
-    for n in range(1, len(mu)):
-        value = Fraction(mu[n])
-        for k in range(1, n):
-            value -= comb(n - 1, k - 1) * kappa[k] * Fraction(mu[n - k])
-        kappa.append(value)
-    return kappa
+    With x = sum_(n>=1) mu_n t^n / n!, the log is expanded as
+    log(1 + x) = sum_m (-1)^(m+1) x^m / m on truncated lists of Fractions.
+    """
+    order = len(mu) - 1
+    x = [Fraction(0)] + [Fraction(mu[n]) / factorial(n) for n in range(1, order + 1)]
+    log = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for m in range(1, order + 1):
+        power = [sum(power[i] * x[j - i] for i in range(j + 1)) for j in range(order + 1)]
+        log = [acc + Fraction((-1) ** (m + 1), m) * p for acc, p in zip(log, power)]
+    return [log[n] * factorial(n) for n in range(order + 1)]
 
 
 def site_sum_word_net(word, adjacency, entry_moments):

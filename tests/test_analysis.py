@@ -40,6 +40,15 @@ def test_silverman_bandwidth_special_cases():
     assert silverman_bandwidth(sample, 2) > silverman_bandwidth(sample, 0)
 
 
+def test_silverman_bandwidth_is_exact_under_power_of_two_scaling():
+    # tiny values must not underflow in the variance: the bandwidth of
+    # v * 2**-1000 is exactly that of v, scaled
+    sample = np.random.default_rng(1).standard_normal(500)
+    for r in (0, 4):
+        tiny = silverman_bandwidth(sample * 2.0**-1000, r)
+        assert tiny == silverman_bandwidth(sample, r) * 2.0**-1000
+
+
 def test_kde_density_normalizes():
     rng = np.random.default_rng(1)
     sample = rng.standard_normal(5000)
@@ -284,6 +293,16 @@ def test_localize_violations_diagonal_fixture():
         if stat.centered_se > 0:
             assert stat.flagged_free == (
                 abs(stat.centered_estimate) > z_star * stat.centered_se)
+
+
+def test_localize_violations_runs_no_eigensolve(monkeypatch):
+    # localization reads only the word-trace table, never a spectrum
+    samples = _diagonal_samples(t=30, seed=17)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
+    localize_violations(samples, 4, 0.01)
+    assert calls == []
 
 
 def scipy_norm_ppf(q):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialfree.cli import main
 
@@ -138,6 +144,44 @@ def test_analyze_point_mass_pairs_end_in_a_report(tmp_path, capsys, a, b):
     assert "degree" in payload
     assert payload["densities"] is None
     assert any("no spread at double precision" in note for note in payload["notes"])
+
+
+def _pair_records(kind, n, t, scale, seed):
+    rng = np.random.default_rng(seed)
+
+    def goe():
+        g = rng.standard_normal((n, n))
+        return (g + g.T) / np.sqrt(2 * n)
+
+    fixed = (goe(), goe())
+    for _ in range(t):
+        if kind == "goe":
+            a, b = goe(), goe()
+        elif kind == "deterministic":
+            a, b = fixed
+        elif kind == "commuting":
+            a, b = (np.diag(d) for d in rng.standard_normal((2, n)))
+        else:  # rank-1
+            a, b = (np.outer(v, v) for v in rng.standard_normal((2, n)))
+        yield json.dumps({"A": (scale * a).tolist(), "B": (scale * b).tolist()})
+
+
+@given(kind=st.sampled_from(["goe", "deterministic", "commuting", "rank-1"]),
+       n=st.integers(1, 6), t=st.integers(30, 40),
+       scale=st.sampled_from([0.0, 1e-300, 1.0, 1e150]), seed=st.integers(0, 2**16))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_analyze_generated_files_end_in_a_report_or_a_clean_exit(kind, n, t, scale, seed):
+    # every valid file ends in strict JSON or a documented input/resource
+    # exit; exit 2 (configuration) or a traceback would be a defect
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.jsonl"
+        path.write_text("\n".join(_pair_records(kind, n, t, scale, seed)) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--input", str(path), "--k", "4", "--threads", "1"])
+    assert code in (0, 3, 4), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=pytest.fail)
 
 
 def test_pathsum_bad_word_is_config_error(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partialfree.analysis import gram_charlier_coefficients
 from partialfree.moments import (
     AtomicMeasure,
     arcsine_cdf,
@@ -26,7 +27,7 @@ from partialfree.moments import (
 from partialfree.words import Word, word_expansion
 
 from oracles import (
-    classical_cumulants_recursive,
+    classical_cumulants_log_egf,
     moment_from_free_cumulants_nc,
     noncrossing_partitions,
 )
@@ -132,6 +133,12 @@ def test_exact_inputs_stay_exact():
     assert all(isinstance(v, (int, Fraction)) for v in nu)
     assert [moment_from_free_cumulants_nc(nu, n) for n in range(5)] == fracs
     assert moments_from_free_cumulants(nu) == fracs
+    for mu in (ints, fracs):
+        kappa = classical_cumulants_from_moments(mu)
+        outputs = (kappa, moments_from_classical_cumulants(kappa),
+                   classical_convolve(mu, fracs), gram_charlier_coefficients(mu))
+        assert all(isinstance(v, (int, Fraction)) for out in outputs for v in out)
+        assert outputs[1] == mu
 
 
 def test_free_convolve_batches_over_replicates():
@@ -158,7 +165,7 @@ def test_classical_cumulants_examples():
 def test_classical_cumulants_against_recursion(tail):
     mu = [Fraction(1)] + [Fraction(c, 2) for c in tail]
     got = classical_cumulants_from_moments(mu)
-    want = classical_cumulants_recursive(mu)
+    want = classical_cumulants_log_egf(mu)
     assert got == want
     assert got[2] == mu[2] - mu[1] ** 2
 
@@ -192,6 +199,17 @@ def test_classical_convolve_examples():
 
     mu2 = [1.0, 0.3, 0.8, 0.1, 1.1]
     assert classical_convolve(mu2, [1, 0, 0, 0, 0]) == pytest.approx(mu2, abs=1e-12)
+
+
+def test_classical_convolve_order_16_matches_exact_binomial_sum():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        mu_a, mu_b = ([1.0] + list(rng.uniform(-1, 1, size=16)) for _ in range(2))
+        exact_a, exact_b = ([Fraction(v) for v in mu] for mu in (mu_a, mu_b))
+        want = [sum(math.comb(n, k) * exact_a[k] * exact_b[n - k] for k in range(n + 1))
+                for n in range(17)]
+        for got, w in zip(classical_convolve(mu_a, mu_b), want, strict=True):
+            assert abs(got - float(w)) <= 1e-12 * max(1.0, abs(float(w)))
 
 
 def test_free_and_classical_agree_through_order_three():
