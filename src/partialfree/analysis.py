@@ -35,18 +35,21 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .matrices import (
+    _CELL_BUDGET,
     _CLASSICAL_STREAM,
     _FREE_STREAM,
     EnsembleSpec,
-    PairPowers,
+    StackPowers,
     WordTracePlan,
+    _eigenvalues,
+    _free_sum_eigenvalues,
     estimate_moments,
     for_each_chunk,
     per_sample_moments,
-    sample_classical_sum_spectrum,
-    sample_free_sum_spectrum,
     sample_pair,
+    stack_groups,
     stream,
+    sub_chunks,
 )
 from .moments import (
     centering_map,
@@ -182,9 +185,11 @@ def _sample_pass(draw, count: int, dimension: int, necklaces_by_order, threads: 
 
     ``draw(i)`` returns the i-th pair.  Each pair yields one row of raw word
     traces, the spectrum of A + B if ``with_sums`` and, with ``config``, its
-    free-rotated spectra and, if enabled, its permuted spectrum.  Every
-    quantity is a function of the index alone (the spectra use the
-    per-index streams), so the tables do not depend on ``threads``.
+    free-rotated spectra and, if enabled, its permuted spectrum.  Pairs are
+    drawn one index at a time but processed as stacks (``sub_chunks``), one
+    numpy call per step for the whole stack.  Every quantity is a function
+    of the index alone (the spectra use the per-index streams), so the
+    tables depend neither on ``threads`` nor on how the stacks are cut.
     """
     words = [Word.empty()] + [n.word for necklaces in necklaces_by_order.values()
                               for n in necklaces]
@@ -196,29 +201,40 @@ def _sample_pass(draw, count: int, dimension: int, necklaces_by_order, threads: 
         rotations = config.free_rotations
         seed = config.ensemble.seed
         free_pool = np.empty((count * rotations, dimension))
+        free_rows = free_pool.reshape(count, rotations, dimension)
         classical_pool = np.empty((count, dimension)) if config.include_classical else None
 
-    def run_chunk(indices):
-        powers = PairPowers()
-        for i in indices:
-            pair = draw(i)
+    def run_stack(indices, powers):
+        pairs = [draw(i) for i in indices]
+        for i, pair in zip(indices, pairs):
             if pair.dimension != dimension:
                 raise ValueError(
                     f"sample {i} has dimension {pair.dimension}, expected {dimension}"
                 )
+        for rows, a, b, diagonal in stack_groups(pairs):
+            at = indices.start + rows
+            powers.load(a, b, diagonal)
             if sums is not None:
-                sums[i] = np.linalg.eigvalsh(pair.a + pair.b)
+                sums[at] = _eigenvalues(a + b, all(diagonal))
             # errstate is per thread; the finite check below reports overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                traces[i] = plan.traces(powers.load(pair))
+                traces[at] = plan.traces(powers)
             if config is None:
                 continue
             for j in range(rotations):
-                spectrum = sample_free_sum_spectrum(pair, stream(seed, i, _FREE_STREAM, j))
-                free_pool[i * rotations + j] = spectrum.eigenvalues
+                z = np.stack([stream(seed, i, _FREE_STREAM, j).standard_normal(a.shape[1:])
+                              for i in at])
+                free_rows[at, j] = _free_sum_eigenvalues(a, b, z)
             if classical_pool is not None:
-                spectrum = sample_classical_sum_spectrum(pair, stream(seed, i, _CLASSICAL_STREAM))
-                classical_pool[i] = spectrum.eigenvalues
+                perms = np.stack([stream(seed, i, _CLASSICAL_STREAM).permutation(dimension)
+                                  for i in at])
+                eb = np.take_along_axis(powers.b.eigenvalues(), perms, axis=1)
+                classical_pool[at] = np.sort(powers.a.eigenvalues() + eb, axis=1)
+
+    def run_chunk(indices):
+        powers = StackPowers()
+        for sub in sub_chunks(indices, dimension):
+            run_stack(sub, powers)
 
     for_each_chunk(count, threads, run_chunk)
     _require_finite(traces, "word trace", [w.length for w in words])
@@ -486,8 +502,10 @@ def silverman_bandwidth(values, derivative_order: int = 0) -> float:
 
 def _kernel_sum(values: np.ndarray, grid: np.ndarray, bandwidth: float,
                 derivative_order: int) -> np.ndarray:
-    out = np.zeros(grid.size)
-    chunk = max(1, int(4_000_000 // max(1, values.size)))
+    # blocks of whole grid rows of about _CELL_BUDGET kernel cells keep the
+    # temporaries small; each row stays one reduction over all the values
+    out = np.empty(grid.size)
+    chunk = max(1, _CELL_BUDGET // max(1, values.size))
     for start in range(0, grid.size, chunk):
         block = grid[start:start + chunk]
         u = (block[:, None] - values[None, :]) / bandwidth

@@ -264,21 +264,24 @@ def sample_pair(spec: EnsembleSpec, index: int) -> MatrixPairSample:
     raise AssertionError(f"unhandled variant {spec.variant}")
 
 
-def haar_orthogonal(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Orthogonal matrix (or a stack of them) distributed by Haar measure.
+def _haar_from_normals(z: np.ndarray) -> np.ndarray:
+    """Haar orthogonal matrices from i.i.d. standard normals of shape (..., n, n).
 
-    QR of an i.i.d. standard Gaussian matrix, with columns re-signed so the
-    triangular factor has a positive diagonal.  Without the sign correction
-    the result is not Haar distributed.
+    QR of each Gaussian matrix, with columns re-signed so the triangular
+    factor has a positive diagonal (Mezzadri, Notices AMS 54, 2007).
+    Without the sign correction the result is not Haar distributed.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    shape = (n, n) if size is None else (size, n, n)
-    z = rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d = np.where(d == 0, 1.0, d)
     return q * d[..., None, :]
+
+
+def haar_orthogonal(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Orthogonal matrix (or a stack of them) distributed by Haar measure."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return _haar_from_normals(rng.standard_normal((n, n) if size is None else (size, n, n)))
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -297,6 +300,32 @@ def symmetric_eigenvalues(m: np.ndarray, atol: float = 1e-8) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
+def _diagonal_flags(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a (c, n, n) stack: True when every off-diagonal entry is zero."""
+    off = stack.copy()
+    i = np.arange(stack.shape[-1])
+    off[:, i, i] = 0.0
+    return ~off.any(axis=(1, 2))
+
+
+def _eigenvalues(stack: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a (c, n, n) stack.
+
+    A diagonal matrix's eigenvalues are its sorted diagonal, with no
+    eigensolve; at ordinary scales that is what ``eigvalsh`` returns bit
+    for bit, and it stays exact where LAPACK would rescale the matrix.
+    """
+    if diagonal:
+        return np.sort(np.diagonal(stack, axis1=1, axis2=2), axis=1)
+    return np.linalg.eigvalsh(stack)
+
+
+def _free_sum_eigenvalues(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Spectra of a[i] + Q_i b[i] Q_i^T, with Q_i the Haar matrix made from normals z[i]."""
+    q = _haar_from_normals(z)
+    return np.linalg.eigvalsh(a + q @ b @ np.swapaxes(q, -1, -2))
+
+
 def sample_sum_spectrum(pair: MatrixPairSample) -> SpectrumSample:
     """Spectrum of the plain sum A + B."""
     return SpectrumSample(np.linalg.eigvalsh(pair.a + pair.b), "A+B")
@@ -305,9 +334,10 @@ def sample_sum_spectrum(pair: MatrixPairSample) -> SpectrumSample:
 def sample_free_sum_spectrum(pair: MatrixPairSample,
                              rng: np.random.Generator) -> SpectrumSample:
     """Spectrum of A + Q B Q^T with a fresh Haar-orthogonal Q."""
-    q = haar_orthogonal(pair.dimension, rng)
-    m = pair.a + q @ pair.b @ q.T
-    return SpectrumSample(np.linalg.eigvalsh(m), "free-rotated")
+    n = pair.dimension
+    z = rng.standard_normal((n, n))
+    spectrum = _free_sum_eigenvalues(pair.a[None], pair.b[None], z[None])[0]
+    return SpectrumSample(spectrum, "free-rotated")
 
 
 def sample_classical_sum_spectrum(pair: MatrixPairSample,
@@ -319,8 +349,8 @@ def sample_classical_sum_spectrum(pair: MatrixPairSample,
     (one eigenvalue of each, paired at random).  Conjugating the raw B by a
     permutation matrix would not achieve this for noncommuting pairs.
     """
-    ea = np.linalg.eigvalsh(pair.a)
-    eb = np.linalg.eigvalsh(pair.b)
+    ea, eb = (_eigenvalues(m[None], bool(_diagonal_flags(m[None])[0]))[0]
+              for m in (pair.a, pair.b))
     perm = rng.permutation(pair.dimension)
     return SpectrumSample(np.sort(ea + eb[perm]), "permuted")
 
@@ -377,6 +407,11 @@ def estimate_moments(spectra, order: int) -> MomentEstimate:
 # ---------------------------------------------------------------------------
 # word-trace estimation
 
+# Pairs are processed as stacks of at most _CELL_BUDGET // n^2 pairs (and at
+# least one), so a stacked (c, n, n) product holds about this many doubles:
+# small matrices share one numpy call per step, n = 200 goes pair by pair.
+_CELL_BUDGET = 1 << 16
+
 
 def for_each_chunk(count: int, threads: int, run_chunk) -> None:
     """Call ``run_chunk(indices)`` on contiguous chunks of range(count).
@@ -394,21 +429,46 @@ def for_each_chunk(count: int, threads: int, run_chunk) -> None:
         list(pool.map(run_chunk, chunks))
 
 
-def _as_diagonal(m: np.ndarray) -> np.ndarray | None:
-    d = np.diagonal(m)
-    if np.count_nonzero(m) == np.count_nonzero(d) and np.all(m == np.diag(d)):
-        return d.copy()
-    return None
+def sub_chunks(indices: range, dimension: int) -> list[range]:
+    """``indices`` cut into consecutive runs that fit the stack budget."""
+    size = max(1, _CELL_BUDGET // (dimension * dimension))
+    return [indices[lo:lo + size] for lo in range(0, len(indices), size)]
+
+
+def stack_groups(pairs):
+    """The pairs as stacks of A and of B, split by which letters are diagonal.
+
+    Yields (rows, a, b, diagonal): positions in ``pairs``, the (c, n, n)
+    stacks of those pairs and, per letter, whether all of its matrices are
+    diagonal.  Grouping by that pattern keeps each pair's arithmetic a
+    function of the pair alone, however the pairs are cut into stacks.
+    """
+    a = np.stack([p.a for p in pairs])
+    b = np.stack([p.b for p in pairs])
+    code = _diagonal_flags(a) + 2 * _diagonal_flags(b)
+    for value in np.unique(code):
+        rows = np.flatnonzero(code == value)
+        diagonal = (bool(value & 1), bool(value & 2))
+        if rows.size == len(pairs):
+            yield rows, a, b, diagonal
+        else:
+            yield rows, a[rows], b[rows], diagonal
 
 
 class _Powers:
-    """Cached integer powers of one matrix; diagonal matrices stay 1-D."""
+    """Cached integer powers of one letter over a stack of pairs.
 
-    def __init__(self, m: np.ndarray):
-        self.matrix = m
-        d = _as_diagonal(m)
-        self.diagonal = d is not None
-        self.cache: dict[int, np.ndarray] = {1: d if self.diagonal else m}
+    ``matrices`` is a (c, n, n) stack, or (1, n, n) when one matrix serves
+    the whole stack and broadcasts.  Diagonal matrices keep their powers as
+    (c, n) rows of diagonals.
+    """
+
+    def __init__(self, matrices: np.ndarray, diagonal: bool):
+        self.matrices = matrices
+        self.diagonal = diagonal
+        base = np.diagonal(matrices, axis1=1, axis2=2).copy() if diagonal else matrices
+        self.cache: dict[int, np.ndarray] = {1: base}
+        self._eigenvalues: np.ndarray | None = None
 
     def power(self, e: int) -> np.ndarray:
         p = self.cache.get(e)
@@ -420,53 +480,65 @@ class _Powers:
             self.cache[e] = p
         return p
 
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues per matrix, (c, n) or (1, n); solved once."""
+        if self._eigenvalues is None:
+            self._eigenvalues = _eigenvalues(self.matrices, self.diagonal)
+        return self._eigenvalues
 
-class PairPowers:
-    """Powers of the current pair's A and B, for one thread's run of pairs.
 
-    ``load`` keeps a matrix's cached powers when the next pair repeats that
-    matrix (B is fixed in the chain and Pauli ensembles).
+class StackPowers:
+    """Powers of A and B over the current stack, for one thread's run of stacks.
+
+    A letter whose matrix is the same in every pair of the stack is kept
+    once; ``load`` also keeps its cached powers (and eigenvalues) when the
+    next stack repeats that matrix (B is fixed in the chain and Pauli
+    ensembles).
     """
 
     def __init__(self):
         self.a: _Powers | None = None
         self.b: _Powers | None = None
+        self.size = 0
         self.dimension = 0
 
     @staticmethod
-    def _powers_of(m: np.ndarray, current: _Powers | None) -> _Powers:
-        if current is not None and (current.matrix is m or np.array_equal(current.matrix, m)):
+    def _powers_of(stack: np.ndarray, diagonal: bool, current: _Powers | None) -> _Powers:
+        first = stack[:1]
+        if not (stack == first).all():
+            return _Powers(stack, diagonal)
+        if (current is not None and current.matrices.shape[0] == 1
+                and np.array_equal(current.matrices, first)):
             return current
-        return _Powers(m)
+        return _Powers(first.copy(), diagonal)
 
-    def load(self, pair: MatrixPairSample) -> "PairPowers":
-        self.a = self._powers_of(pair.a, self.a)
-        self.b = self._powers_of(pair.b, self.b)
-        self.dimension = pair.dimension
+    def load(self, a: np.ndarray, b: np.ndarray, diagonal) -> "StackPowers":
+        self.a = self._powers_of(a, diagonal[0], self.a)
+        self.b = self._powers_of(b, diagonal[1], self.b)
+        self.size, self.dimension = a.shape[0], a.shape[-1]
         return self
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if x.ndim == 1 and y.ndim == 1:
+    """Product of stacked factors: (c, n) diagonal rows or (c, n, n) matrices."""
+    if x.ndim == 2 and y.ndim == 2:
         return x * y
-    if x.ndim == 1:
-        return y * x[:, None]
-    if y.ndim == 1:
-        return x * y[None, :]
-    return x @ y
+    if x.ndim == 2:
+        return x[:, :, None] * y
+    if y.ndim == 2:
+        return x * y[:, None, :]
+    return np.matmul(x, y)
 
 
-def _trace(x: np.ndarray) -> float:
-    return float(x.sum() if x.ndim == 1 else np.trace(x))
+def _trace(x: np.ndarray) -> np.ndarray:
+    return x.sum(axis=1) if x.ndim == 2 else np.einsum("cii->c", x)
 
 
-def _trace_product(p: np.ndarray, x: np.ndarray) -> float:
-    """tr(P X) without forming the product: sum of P * X^T."""
-    if p.ndim == 1:
-        return float(p @ (x if x.ndim == 1 else np.diagonal(x)))
-    if x.ndim == 1:
-        return float(np.diagonal(p) @ x)
-    return float((p * x.T).sum())
+def _trace_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """tr(P X) per stack entry without forming the product."""
+    spec = {(2, 2): "ci,ci->c", (2, 3): "ci,cii->c",
+            (3, 2): "cii,ci->c", (3, 3): "cij,cji->c"}[p.ndim, x.ndim]
+    return np.einsum(spec, p, x)
 
 
 class WordTracePlan:
@@ -474,10 +546,10 @@ class WordTracePlan:
 
     The words are visited in lexicographic order of their blocks, so words
     sharing a block prefix are adjacent and each prefix product is formed
-    once per pair; the last block is folded into the trace instead of
-    multiplied on.  A stack holds the current prefix's products, so at most
-    one product per block of the longest word is alive at a time, and none
-    outlives the call.  The plan itself is immutable and can be shared
+    once per stack of pairs; the last block is folded into the trace instead
+    of multiplied on.  A stack holds the current prefix's products, so at
+    most one product per block of the longest word is alive at a time, and
+    none outlives the call.  The plan itself is immutable and can be shared
     between threads.
     """
 
@@ -500,10 +572,10 @@ class WordTracePlan:
             self.steps.append((column, keep, prefix[keep:], blocks[-1] if blocks else None))
             current = prefix
 
-    def traces(self, powers: PairPowers) -> np.ndarray:
-        """One row of tr(W)/N for the pair loaded into ``powers``."""
+    def traces(self, powers: StackPowers) -> np.ndarray:
+        """Rows of tr(W)/N, one per pair of the stack loaded into ``powers``."""
         pa, pb = powers.a, powers.b
-        out = np.empty(self.size)
+        out = np.empty((powers.size, self.size))
         stack: list[np.ndarray] = []
         for column, keep, push, last in self.steps:
             del stack[keep:]
@@ -511,11 +583,11 @@ class WordTracePlan:
                 factor = (pb if letter else pa).power(e)
                 stack.append(_mul(stack[-1], factor) if stack else factor)
             if last is None:
-                out[column] = 1.0
+                out[:, column] = 1.0
                 continue
             x = (pb if last[0] else pa).power(last[1])
-            out[column] = ((_trace_product(stack[-1], x) if stack else _trace(x))
-                           / powers.dimension)
+            out[:, column] = ((_trace_product(stack[-1], x) if stack else _trace(x))
+                              / powers.dimension)
         return out
 
 
@@ -530,14 +602,16 @@ def word_trace_table(pairs, words) -> np.ndarray:
     if not pairs:
         raise ValueError("need at least one sample")
     dimension = pairs[0].dimension
-    out = np.empty((len(pairs), plan.size))
-    powers = PairPowers()
     for i, pair in enumerate(pairs):
         if pair.dimension != dimension:
             raise ValueError(
                 f"sample {i} has dimension {pair.dimension}, expected {dimension}"
             )
-        out[i] = plan.traces(powers.load(pair))
+    out = np.empty((len(pairs), plan.size))
+    powers = StackPowers()
+    for sub in sub_chunks(range(len(pairs)), dimension):
+        for rows, a, b, diagonal in stack_groups(pairs[sub.start:sub.stop]):
+            out[sub.start + rows] = plan.traces(powers.load(a, b, diagonal))
     return out
 
 

@@ -212,23 +212,40 @@ def classical_joint_moment(word: Word, mu_a, mu_b):
     return _pure_moment(mus, 0, totals[0]) * _pure_moment(mus, 1, totals[1])
 
 
-def _block_deletions(word: Word, canonical: dict):
+def _canonical_blocks(blocks: tuple) -> tuple:
+    """Blocks of the least rotation of a cyclic word: ``Word(blocks).canonical().blocks``."""
+    symbols = tuple(letter for letter, e in blocks for _ in range(e))
+    if not symbols:
+        return ()
+    best = min(symbols[i:] + symbols[:i] for i in range(len(symbols)))
+    merged = [[best[0], 0]]
+    for letter in best:
+        if letter == merged[-1][0]:
+            merged[-1][1] += 1
+        else:
+            merged.append([letter, 1])
+    # cyclic wrap: first and last block of a trace term are adjacent
+    while len(merged) > 1 and merged[0][0] == merged[-1][0]:
+        merged[0][1] += merged.pop()[1]
+    return tuple((letter, e) for letter, e in merged)
+
+
+def _block_deletions(blocks: tuple, moment) -> list:
     """Expansion of the centered product prod_i (X_i^(e_i) - c_i) over block subsets.
 
-    Yields (sign, removed blocks, remaining word) for every subset S of the
-    blocks, the empty subset first: the term replaces the blocks of S by
-    their scalars with sign (-1)^|S|.  Deleting blocks shortens the word and
-    cyclic merging re-normalizes it; the remainder is canonical.
-    ``canonical`` memoizes remainders by their blocks across calls.
+    Returns (remaining blocks, coefficient) for every subset S of the
+    blocks, the empty subset first and then in the order of the bit masks
+    (bit i set: block i in S).  The term replaces the blocks of S by their
+    scalars ``moment(letter, exponent)``, so its coefficient is the product
+    of -moment over S.  The remaining blocks are not yet canonical:
+    deleting blocks can leave equal letters adjacent.
     """
-    blocks = word.blocks
-    for mask in range(1 << len(blocks)):
-        removed = tuple(b for i, b in enumerate(blocks) if mask >> i & 1)
-        rest = tuple(b for i, b in enumerate(blocks) if not mask >> i & 1)
-        remainder = canonical.get(rest)
-        if remainder is None:
-            remainder = canonical[rest] = Word(rest, word.k).canonical()
-        yield (-1) ** len(removed), removed, remainder
+    terms = [((), 1)]
+    for block in blocks:
+        scalar = -moment(*block)
+        terms = ([(rest + (block,), c) for rest, c in terms]
+                 + [(rest, c * scalar) for rest, c in terms])
+    return terms
 
 
 def free_joint_moment(word: Word, mu_a, mu_b):
@@ -238,37 +255,36 @@ def free_joint_moment(word: Word, mu_a, mu_b):
     to vanish expresses the word as a signed sum over subsets of blocks
     replaced by their scalar means (see ``_block_deletions``); the shorter
     remainders recurse, so the recursion terminates.  Values are memoized
-    per call on the canonical rotation.
+    per call on the canonical blocks.
     """
     mus = _letter_moments(word, mu_a, mu_b)
-    memo: dict[Word, object] = {}
-    canonical: dict = {}
+    memo: dict[tuple, object] = {}
+    canonical: dict[tuple, tuple] = {}
 
-    def net(w: Word):
-        blocks = w.blocks
+    def moment(letter, exponent):
+        return _pure_moment(mus, letter, exponent)
+
+    def net(blocks: tuple):
         if not blocks:
             return 1
         if len(blocks) == 1:
-            letter, exponent = blocks[0]
-            return _pure_moment(mus, letter, exponent)
-        cached = memo.get(w)
+            return moment(*blocks[0])
+        cached = memo.get(blocks)
         if cached is not None:
             return cached
         total = 0
-        for sign, removed, rest in _block_deletions(w, canonical):
-            if not removed:
+        for rest, coefficient in _block_deletions(blocks, moment)[1:]:
+            if coefficient == 0:
                 continue
-            scalar = 1
-            for letter, exponent in removed:
-                scalar *= _pure_moment(mus, letter, exponent)
-            if scalar == 0:
-                continue
-            total += sign * scalar * net(rest)
+            key = canonical.get(rest)
+            if key is None:
+                key = canonical[rest] = _canonical_blocks(rest)
+            total += coefficient * net(key)
         value = -total
-        memo[w] = value
+        memo[blocks] = value
         return value
 
-    return net(word.canonical())
+    return net(_canonical_blocks(word.blocks))
 
 
 def centering_map(words, mu_a, mu_b) -> np.ndarray:
@@ -281,29 +297,34 @@ def centering_map(words, mu_a, mu_b) -> np.ndarray:
     M has a unit diagonal and otherwise only entries M[i, j] with i < j,
     from words shorter than word j.
     """
-    words = [w.canonical() for w in words]
+    words = list(words)
     if not words or words[0].blocks:
         raise ValueError("the word list must start with the empty word")
     if any(a.length > b.length for a, b in zip(words, words[1:])):
         raise ValueError("words must be ordered by length")
-    column = {w: j for j, w in enumerate(words)}
+    canonical = [_canonical_blocks(w.blocks) for w in words]
+    column = {blocks: j for j, blocks in enumerate(canonical)}
     if len(column) != len(words):
         raise ValueError("words must be distinct up to rotation")
     mus = tuple([float(v) for v in _check_moments(mu, name)]
                 for mu, name in ((mu_a, "mu_a"), (mu_b, "mu_b")))
+
+    def moment(letter, exponent):
+        return _pure_moment(mus, letter, exponent)
+
     out = np.zeros((len(words), len(words)))
-    canonical: dict = {}
-    for j, word in enumerate(words):
-        for sign, removed, rest in _block_deletions(word, canonical):
-            i = column.get(rest)
+    rest_column: dict[tuple, int] = {}
+    for j, blocks in enumerate(canonical):
+        for rest, coefficient in _block_deletions(blocks, moment):
+            i = rest_column.get(rest)
             if i is None:
-                raise ValueError(
-                    f"word list lacks {rest.to_string() or '<empty>'}, "
-                    f"a remainder of {word.to_string()}")
-            scalar = float(sign)
-            for letter, exponent in removed:
-                scalar *= _pure_moment(mus, letter, exponent)
-            out[i, j] += scalar
+                key = _canonical_blocks(rest)
+                i = rest_column[rest] = column.get(key)
+                if i is None:
+                    raise ValueError(
+                        f"word list lacks {Word(key).to_string() or '<empty>'}, "
+                        f"a remainder of {Word(blocks).to_string()}")
+            out[i, j] += coefficient
     return out
 
 

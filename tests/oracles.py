@@ -4,13 +4,15 @@ Everything here recomputes results by a different route than the library:
 strings are grouped by literal rotation, free moments come from explicit
 non-crossing partitions, classical cumulants from the logarithm of the
 exponential moment generating series, series reversion from the Lagrange
-formula, and word traces from index sums over matrix entries or from
-explicit block powers.  None of it calls the code paths under test beyond
-basic data types.
+formula, word traces from index sums over matrix entries or from
+explicit block powers, the centering map from per-subset ``Word`` objects
+and kernel density sums one grid point at a time.  None of it calls the
+code paths under test beyond basic data types.
 """
 
 from fractions import Fraction
 from itertools import product
+import math
 from math import factorial
 
 import numpy as np
@@ -202,3 +204,50 @@ def block_power_trace(blocks, a, b, centers=None):
             factor = factor - centers[letter][exponent] * np.eye(n)
         product = product @ factor
     return float(np.trace(product)) / n
+
+
+def centering_map_words(words, mu_a, mu_b):
+    """Raw-to-centered word-trace map built with one ``Word`` per block subset.
+
+    The subsets are visited in bit-mask order and their scalars multiplied
+    in block order, so the float result is the library's bit for bit.
+    """
+    from partialfree.words import Word
+
+    words = [w.canonical() for w in words]
+    column = {w: j for j, w in enumerate(words)}
+    mus = ([float(v) for v in mu_a], [float(v) for v in mu_b])
+    out = np.zeros((len(words), len(words)))
+    for j, word in enumerate(words):
+        blocks = word.blocks
+        for mask in range(1 << len(blocks)):
+            removed = [b for i, b in enumerate(blocks) if mask >> i & 1]
+            rest = Word(tuple(b for i, b in enumerate(blocks) if not mask >> i & 1), word.k)
+            scalar = float((-1) ** len(removed))
+            for letter, exponent in removed:
+                scalar *= mus[letter][exponent]
+            out[column[rest.canonical()], j] += scalar
+    return out
+
+
+def kernel_sum_per_point(values, grid, bandwidth, order):
+    """Gaussian-kernel density (order 0) or its order-th derivative, point by point.
+
+    Each grid point is one sum over all values of exp(-u^2/2) He_order(u),
+    u = (x - v)/h, with He from He_(m+1) = u He_m - m He_(m-1), scaled by
+    (-1)^order / (t h^(order+1) sqrt(2 pi)).
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.empty(len(grid))
+    for k, x in enumerate(grid):
+        u = (x - values) / bandwidth
+        w = np.exp(-0.5 * u * u)
+        if order:
+            prev, cur = np.ones_like(u), u * np.ones_like(u)
+            for m in range(1, order):
+                prev, cur = cur, u * cur - m * prev
+            w = w * cur
+        out[k] = w.sum()
+    sign = -1.0 if order % 2 else 1.0
+    norm = values.size * bandwidth ** (order + 1) * math.sqrt(2.0 * math.pi)
+    return sign * out / norm

@@ -82,6 +82,7 @@ def example19_report():
 # criteria
 
 
+@pytest.mark.slow
 def test_criterion_01_arcsine_law(arcsine_free_run):
     data = arcsine_free_run
     distance = ks_statistic(data["eigs"].ravel(), arcsine_cdf)
@@ -119,6 +120,7 @@ def test_criterion_03_exact_free_moments():
         assert abs(floats[2 * n] - math.comb(2 * n, n)) < 1e-12
 
 
+@pytest.mark.slow
 def test_criterion_04_example19_pipeline(example19_report):
     report, elapsed = example19_report
     assert elapsed < 300.0
@@ -160,6 +162,7 @@ def test_criterion_05_pauli_determinism():
         assert result.degree == dim, half
 
 
+@pytest.mark.slow
 def test_criterion_06_combinatorics_brute_force():
     for k in (1, 2, 3):
         for n in range(1, 15):
@@ -234,6 +237,7 @@ def test_criterion_08_pathsum_oracle():
         assert got == Fraction(2) - Fraction(2, n)
 
 
+@pytest.mark.slow
 def test_criterion_09_edgeworth_correction(example19_report):
     report, _ = example19_report
     d = report.densities

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from partialfree.moments import (
     moments_from_classical_cumulants,
 )
 from partialfree.series import hermite_coefficients
+
+from oracles import kernel_sum_per_point
 
 # ---------------------------------------------------------------------------
 # density estimation
@@ -125,6 +128,34 @@ def test_kde_explicit_grid_and_validation():
 def _gaussian_fixture(n=20000, seed=5):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("size", [200, 3_000, 70_000],
+                         ids=["below-one-block", "ragged-blocks", "above-budget"])
+@pytest.mark.parametrize("order", [0, 1, 8])
+def test_kernel_sums_match_per_point_oracle(size, order):
+    # blocking the grid must not change a single bit: every grid point is
+    # still one sum over all values (block heights 327, 21 and 1 against
+    # 101 grid points)
+    values = np.random.default_rng(53).standard_normal(size)
+    grid = np.linspace(-4.0, 4.0, 101)
+    h = 0.3
+    if order:
+        est = kde_derivative(values, order, bandwidth=h, grid=grid)
+    else:
+        est = kde_density(values, bandwidth=h, grid=grid)
+    assert np.array_equal(est.values, kernel_sum_per_point(values, grid, h, order))
+
+
+def test_kde_derivative_memory_is_bounded():
+    values = np.random.default_rng(59).standard_normal(8000)
+    tracemalloc.start()
+    try:
+        kde_derivative(values, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_edgeworth_zero_delta_is_identity():
@@ -461,21 +492,81 @@ def test_word_table_rejects_dimension_mismatch():
 
 
 def test_pipeline_classical_moments_match_public_sampler():
-    # the pass's permuted-sum spectra must equal what the public sampler
-    # draws from the same per-index streams
-    from partialfree.analysis import _CLASSICAL_STREAM
-    from partialfree.matrices import estimate_moments, sample_classical_sum_spectrum, stream
+    # the pass's permuted-sum and free-rotated spectra (stacked rotations,
+    # eigenvalues once per diagonal or fixed matrix) must equal what the
+    # public one-pair samplers draw from the same per-index streams
+    from partialfree.analysis import _CLASSICAL_STREAM, _FREE_STREAM
+    from partialfree.matrices import (estimate_moments, sample_classical_sum_spectrum,
+                                      sample_free_sum_spectrum, stream)
 
-    spec = EnsembleSpec.goe(6, seed=12)
-    config = AnalysisConfig(ensemble=spec, sample_count=30, order=4, alpha=0.01)
-    report = run_analysis(config)
-    spectra = [sample_classical_sum_spectrum(sample_pair(spec, i),
-                                             stream(spec.seed, i, _CLASSICAL_STREAM))
-               for i in range(config.sample_count)]
-    want = estimate_moments(spectra, config.order)
-    for row in report.moments:
-        assert row.sampled_classical == float(want.values[row.order])
-        assert row.sampled_classical_se == float(want.se[row.order])
+    for spec in (EnsembleSpec.goe(6, seed=12), EnsembleSpec.tridiagonal_adjacency(10, seed=14),
+                 EnsembleSpec.gaussian_diagonal(6, seed=15), EnsembleSpec.pauli_block_pair(6)):
+        config = AnalysisConfig(ensemble=spec, sample_count=30, order=4, alpha=0.01)
+        report = run_analysis(config)
+        pairs = [sample_pair(spec, i) for i in range(config.sample_count)]
+        want = estimate_moments([sample_classical_sum_spectrum(
+            p, stream(spec.seed, i, _CLASSICAL_STREAM)) for i, p in enumerate(pairs)],
+            config.order)
+        free = estimate_moments([sample_free_sum_spectrum(
+            p, stream(spec.seed, i, _FREE_STREAM, 0)) for i, p in enumerate(pairs)],
+            config.order)
+        for row in report.moments:
+            assert row.sampled_classical == float(want.values[row.order]), spec.variant
+            assert row.sampled_classical_se == float(want.se[row.order]), spec.variant
+            assert row.sampled_free == float(free.values[row.order]), spec.variant
+
+
+def _mixed_pair_file(path, n=5, t=23, seed=61):
+    # every third A and every fourth B diagonal, the rest dense
+    rng = np.random.default_rng(seed)
+    with open(path, "w") as fh:
+        for i in range(t):
+            a, b = (g + g.T for g in rng.standard_normal((2, n, n)))
+            if i % 3 == 0:
+                a = np.diag(np.diagonal(a))
+            if i % 4 == 1:
+                b = np.diag(rng.standard_normal(n))
+            fh.write(json.dumps({"A": a.tolist(), "B": b.tolist()}) + "\n")
+
+
+@pytest.mark.parametrize("variant", ["goe", "gaussian-diagonal", "tridiagonal", "mixed-file"])
+def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
+    # stacks of 1, 7 (ragged) and all t pairs give bit-identical raw tables
+    from partialfree import matrices
+    from partialfree.analysis import _necklaces_through, _sample_pass
+
+    t = 23
+    if variant == "mixed-file":
+        _mixed_pair_file(tmp_path / "pairs.jsonl", t=t)
+        spec = EnsembleSpec.from_file(str(tmp_path / "pairs.jsonl"), seed=3)
+    else:
+        spec = {"goe": EnsembleSpec.goe(6, seed=62),
+                "gaussian-diagonal": EnsembleSpec.gaussian_diagonal(6, seed=63),
+                "tridiagonal": EnsembleSpec.tridiagonal_adjacency(8, seed=64)}[variant]
+    n = spec.dimension
+    config = AnalysisConfig(ensemble=spec, sample_count=t, order=6, alpha=0.01,
+                            free_rotations=2)
+    tables = []
+    for size in (1, 7, t):
+        monkeypatch.setattr(matrices, "_CELL_BUDGET", size * n * n)
+        tables.append(_sample_pass(lambda i: sample_pair(spec, i), t, n,
+                                   _necklaces_through(6), 1, config))
+    for other in tables[1:]:
+        for field in ("traces", "sums", "free_pool", "classical_pool"):
+            assert np.array_equal(getattr(tables[0], field), getattr(other, field)), field
+
+
+def test_pipeline_eigensolves_once_per_pair_and_fixed_matrix(monkeypatch):
+    # example19: A is diagonal (sorted diagonal, no eigensolve) and the chain
+    # B is eigensolved once, so at most the sum and the rotated sum per pair
+    spec = EnsembleSpec.tridiagonal_adjacency(24, seed=7, circulant=True)
+    t = 40
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
+    run_analysis(AnalysisConfig(ensemble=spec, sample_count=t, order=8, alpha=1e-9,
+                                threads=1))
+    assert 0 < len(calls) <= 2 * t + 1
 
 
 def _write_goe_pairs(path, n=5, t=32, seed=4):

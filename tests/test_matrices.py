@@ -267,6 +267,19 @@ def test_classical_sum_diagonal_pairs_eigenvalues():
     assert result.pvalue > 0.01
 
 
+def test_diagonal_eigenvalues_are_the_sorted_diagonal():
+    # the classical sampler reads a diagonal matrix's spectrum off its
+    # diagonal; at ordinary scales that is eigvalsh's answer bit for bit
+    for n in (2, 16, 200):
+        spec = EnsembleSpec.gaussian_diagonal(n, seed=n)
+        for i in range(5):
+            pair = sample_pair(spec, i)
+            got = sample_classical_sum_spectrum(pair, stream(1, i)).eigenvalues
+            perm = stream(1, i).permutation(n)
+            want = np.sort(np.linalg.eigvalsh(pair.a) + np.linalg.eigvalsh(pair.b)[perm])
+            assert np.array_equal(got, want)
+
+
 def test_rotation_pair_classical_atoms():
     spec = EnsembleSpec.rotation_pair(seed=31)
     draws = 4000

@@ -27,6 +27,7 @@ from partialfree.moments import (
 from partialfree.words import Word, word_expansion
 
 from oracles import (
+    centering_map_words,
     classical_cumulants_log_egf,
     moment_from_free_cumulants_nc,
     noncrossing_partitions,
@@ -333,6 +334,17 @@ def test_free_word_moments_match_exact_free_joint_moment():
         want = free_joint_moment(word, mu_a, mu_b)
         assert isinstance(want, Fraction)
         assert abs(value - float(want)) <= 1e-12 * max(1.0, abs(float(want))), word
+
+
+def test_centering_map_matches_word_based_construction():
+    # the tuple-based construction equals one Word per block subset exactly,
+    # for every necklace through order 10
+    rng = np.random.default_rng(37)
+    mu_a = [1.0] + list(rng.uniform(-1.5, 1.5, size=10))
+    mu_b = [1.0] + list(rng.uniform(-1.5, 1.5, size=10))
+    words = [Word.empty()] + [n.word for k in range(1, 11) for n in word_expansion(k, 2)]
+    assert np.array_equal(centering_map(words, mu_a, mu_b),
+                          centering_map_words(words, mu_a, mu_b))
 
 
 def test_centering_map_rejects_incomplete_word_lists():
