@@ -14,13 +14,14 @@ The order-p difference is then localized to individual cyclic words, and
 the density of the rotated sum is corrected by the leading asymptotic
 term (-1)^p (delta mu_p / p!) f^(p).
 
-All of it derives from one streaming pass over the sample indices (run on
-a chunked thread pool): each pair is drawn once and leaves only raw
-observations, the spectrum of A + B and one row of raw normalized traces
-tr(W)/N of every necklace through the scan order (plus, for a full run,
-its free-rotated and permuted sum spectra), and is then dropped.  The
-pure words A^k and B^k are necklaces too, so the pure moments are columns
-of that raw table; the moments of A + B are powers of its spectrum.
+All of it derives from one streaming pass over the sample indices
+(matrices.sample_tables, which owns the drawing, stacking and threading):
+each pair is drawn once and leaves only raw observations, the spectrum of
+A + B and one row of raw normalized traces tr(W)/N of every necklace
+through the scan order (plus, for a full run, its free-rotated and
+permuted sum spectra), and is then dropped.  The pure words A^k and B^k
+are necklaces too, so the pure moments are columns of that raw table; the
+moments of A + B are powers of its spectrum.
 Centered word traces and the free word predictions both follow from the
 raw table through one linear inclusion-exclusion map
 (moments.centering_map), so no pair is ever regenerated.
@@ -33,23 +34,17 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, ResourceLimitError
 from .matrices import (
     _CELL_BUDGET,
-    _CLASSICAL_STREAM,
-    _FREE_STREAM,
     EnsembleSpec,
-    StackPowers,
-    WordTracePlan,
-    _eigenvalues,
-    _free_sum_eigenvalues,
+    MomentEstimate,
+    SampleTables,
     estimate_moments,
-    for_each_chunk,
     per_sample_moments,
+    require_finite,
     sample_pair,
-    stack_groups,
-    stream,
-    sub_chunks,
+    sample_tables,
 )
 from .moments import (
     centering_map,
@@ -160,96 +155,7 @@ class DensityEstimate:
         return float(_trapz(self.values, self.grid))
 
 
-@dataclass(frozen=True)
-class _SampleTables:
-    """The raw observations of the single pass (row i = sample i).
-
-    ``sums`` holds the spectrum of A + B (None for localization, which
-    never reads it).  ``traces`` holds the raw normalized traces of
-    ``words``: the empty word, then the necklaces by order, among them the
-    pure powers A^k and B^k (see ``_pure_moments``).  The free-rotated and
-    permuted spectrum pools are filled for ``run_analysis`` only.
-    """
-
-    words: list[Word]
-    traces: np.ndarray
-    sums: np.ndarray | None
-    free_pool: np.ndarray | None = None
-    classical_pool: np.ndarray | None = None
-
-
-def _sample_pass(draw, count: int, dimension: int, necklaces_by_order, threads: int,
-                 config: AnalysisConfig | None = None,
-                 with_sums: bool = True) -> _SampleTables:
-    """Draw each pair once and record the raw observations taken from it.
-
-    ``draw(i)`` returns the i-th pair.  Each pair yields one row of raw word
-    traces, the spectrum of A + B if ``with_sums`` and, with ``config``, its
-    free-rotated spectra and, if enabled, its permuted spectrum.  Pairs are
-    drawn one index at a time but processed as stacks (``sub_chunks``), one
-    numpy call per step for the whole stack.  Every quantity is a function
-    of the index alone (the spectra use the per-index streams), so the
-    tables depend neither on ``threads`` nor on how the stacks are cut.
-    """
-    words = [Word.empty()] + [n.word for necklaces in necklaces_by_order.values()
-                              for n in necklaces]
-    plan = WordTracePlan(words)
-    traces = np.empty((count, plan.size))
-    sums = np.empty((count, dimension)) if with_sums else None
-    free_pool = classical_pool = None
-    if config is not None:
-        rotations = config.free_rotations
-        seed = config.ensemble.seed
-        free_pool = np.empty((count * rotations, dimension))
-        free_rows = free_pool.reshape(count, rotations, dimension)
-        classical_pool = np.empty((count, dimension)) if config.include_classical else None
-
-    def run_stack(indices, powers):
-        pairs = [draw(i) for i in indices]
-        for i, pair in zip(indices, pairs):
-            if pair.dimension != dimension:
-                raise ValueError(
-                    f"sample {i} has dimension {pair.dimension}, expected {dimension}"
-                )
-        for rows, a, b, diagonal in stack_groups(pairs):
-            at = indices.start + rows
-            powers.load(a, b, diagonal)
-            if sums is not None:
-                sums[at] = _eigenvalues(a + b, all(diagonal))
-            # errstate is per thread; the finite check below reports overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                traces[at] = plan.traces(powers)
-            if config is None:
-                continue
-            for j in range(rotations):
-                z = np.stack([stream(seed, i, _FREE_STREAM, j).standard_normal(a.shape[1:])
-                              for i in at])
-                free_rows[at, j] = _free_sum_eigenvalues(a, b, z)
-            if classical_pool is not None:
-                perms = np.stack([stream(seed, i, _CLASSICAL_STREAM).permutation(dimension)
-                                  for i in at])
-                eb = np.take_along_axis(powers.b.eigenvalues(), perms, axis=1)
-                classical_pool[at] = np.sort(powers.a.eigenvalues() + eb, axis=1)
-
-    def run_chunk(indices):
-        powers = StackPowers()
-        for sub in sub_chunks(indices, dimension):
-            run_stack(sub, powers)
-
-    for_each_chunk(count, threads, run_chunk)
-    _require_finite(traces, "word trace", [w.length for w in words])
-    return _SampleTables(words, traces, sums, free_pool, classical_pool)
-
-
-def _require_finite(table: np.ndarray, what: str, orders) -> None:
-    """InputError naming the order of the first column with a non-finite entry."""
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=0))
-    if bad.size:
-        raise InputError(f"non-finite sample {what} at order {orders[bad[0]]}: "
-                         "entries too large for double-precision powers")
-
-
-def _pure_moments(tables: _SampleTables, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _pure_moments(tables: SampleTables, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample moments tr(X^k)/N, k = 0..order, of A and of B.
 
     The pure word X^k is the necklace of order k with one block, so each
@@ -265,8 +171,10 @@ def _necklaces_through(order: int) -> dict:
     return {k: word_expansion(k, 2) for k in range(1, order + 1)}
 
 
-def _paper_se(mean_table: np.ndarray, t: int, k: int) -> float:
-    return math.sqrt(max(0.0, mean_table[2 * k] - mean_table[k] ** 2) / t)
+def _table_words(necklaces_by_order) -> list[Word]:
+    """The trace table's columns: the empty word, then the necklaces by order."""
+    return [Word.empty()] + [n.word for necklaces in necklaces_by_order.values()
+                             for n in necklaces]
 
 
 def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
@@ -284,7 +192,7 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
     t = m_a.shape[0]
     if m_s.shape[1] < 2 * order + 1:
         raise ValueError(f"need sample moments of A + B through order {2 * order}")
-    mean_s = m_s.mean(axis=0)
+    summed = MomentEstimate.from_table(m_s, order)
 
     def replicates(m):
         # column 0: full-sample means; column i: means without sample i - 1
@@ -310,12 +218,12 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
     for k in range(1, order + 1):
         z, p_value = _two_sided_test(
             float(diffs[k]), float(diff_se[k]),
-            max(abs(float(mean_s[k])), abs(float(predicted[k]))),
+            max(abs(float(summed.values[k])), abs(float(predicted[k]))),
         )
         rows.append(MomentRow(
             order=k,
-            estimate=float(mean_s[k]),
-            se=_paper_se(mean_s, t, k),
+            estimate=float(summed.values[k]),
+            se=float(summed.se[k]),
             predicted_free=float(predicted[k]),
             predicted_free_se=float(pred_se[k]),
             diff=float(diffs[k]),
@@ -331,7 +239,21 @@ def _word_family_size(order: int) -> int:
     return sum(necklace_count(k, 2) for k in range(1, order + 1))
 
 
-def _detect(tables: _SampleTables, necklaces_by_order, order: int, alpha: float):
+# cells of the raw and centered trace tables plus the centering map: 4 GiB
+_TABLE_CELLS_LIMIT = 1 << 29
+
+
+def _require_tables_fit(order: int, t: int) -> None:
+    """ResourceLimitError, before any sampling, when the order's tables cannot fit."""
+    width = 1 + _word_family_size(order)
+    if (2 * t + width) * width > _TABLE_CELLS_LIMIT:
+        raise ResourceLimitError(
+            f"scan order K = {order} needs W = {width} words; the trace tables and "
+            f"centering map, (2t + W)W cells at t = {t}, exceed the bound of "
+            f"2^29 = {_TABLE_CELLS_LIMIT} cells")
+
+
+def _detect(tables: SampleTables, necklaces_by_order, order: int, alpha: float):
     """Two-stage scan for the first order deviating from free independence.
 
     Stage one tests the aggregated moment difference at each order.  Stage
@@ -350,7 +272,7 @@ def _detect(tables: _SampleTables, necklaces_by_order, order: int, alpha: float)
     word_level = alpha / (2 * _word_family_size(order))
     with np.errstate(over="ignore", invalid="ignore"):
         m_s = per_sample_moments(tables.sums, 2 * order)
-    _require_finite(m_s, "moment of A + B", range(2 * order + 1))
+    require_finite(m_s, "moment of A + B", range(2 * order + 1))
     rows = _moment_stage(*_pure_moments(tables, order), m_s, order, moment_level)
     stats_by_order = _word_statistics(necklaces_by_order, tables, word_level)
     degree = None
@@ -368,7 +290,7 @@ def _detect(tables: _SampleTables, necklaces_by_order, order: int, alpha: float)
                         triggering), stats_by_order
 
 
-def _word_statistics(necklaces_by_order, tables: _SampleTables,
+def _word_statistics(necklaces_by_order, tables: SampleTables,
                      flag_level: float) -> dict[int, list[WordStatistic]]:
     """Word statistics for every order of ``necklaces_by_order``.
 
@@ -403,9 +325,10 @@ def detect_degree(samples, order: int, alpha: float, threads: int = 1) -> Degree
         raise ConfigError(f"need a scan order >= 2, got {order}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    _require_tables_fit(order, len(samples))
     necklaces_by_order = _necklaces_through(order)
-    tables = _sample_pass(samples.__getitem__, len(samples), samples[0].dimension,
-                          necklaces_by_order, threads)
+    tables = sample_tables(samples.__getitem__, len(samples), samples[0].dimension,
+                           _table_words(necklaces_by_order), threads, with_sums=True)
     result, _ = _detect(tables, necklaces_by_order, order, alpha)
     return result
 
@@ -459,9 +382,10 @@ def localize_violations(samples, degree: int, alpha: float,
         raise ConfigError(f"need degree >= 1, got {degree}")
     if not samples:
         raise ConfigError("need samples")
+    _require_tables_fit(degree, len(samples))
     necklaces_by_order = _necklaces_through(degree)
-    tables = _sample_pass(samples.__getitem__, len(samples), samples[0].dimension,
-                          necklaces_by_order, threads, with_sums=False)
+    tables = sample_tables(samples.__getitem__, len(samples), samples[0].dimension,
+                           _table_words(necklaces_by_order), threads)
     level = alpha / len(necklaces_by_order[degree])
     return _word_statistics(necklaces_by_order, tables, level)[degree]
 
@@ -518,22 +442,29 @@ def _kernel_sum(values: np.ndarray, grid: np.ndarray, bandwidth: float,
     return sign * out / norm
 
 
-def kde_density(values, bandwidth: float | None = None, grid=None,
-                grid_points: int = 512) -> DensityEstimate:
-    """Gaussian-kernel density estimate on an automatic or supplied grid."""
+def _kde(values, order: int, pad: float, bandwidth: float | None, grid,
+         grid_points: int) -> DensityEstimate:
+    """Order-``order`` kernel estimate; the default grid extends ``pad`` bandwidths."""
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("need a nonempty sample")
     if bandwidth is None:
-        bandwidth = silverman_bandwidth(values)
+        bandwidth = silverman_bandwidth(values, order)
     elif bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     if grid is None:
-        grid = np.linspace(values.min() - 3.0 * bandwidth,
-                           values.max() + 3.0 * bandwidth, grid_points)
+        reach = pad * bandwidth
+        grid = np.linspace(values.min() - reach, values.max() + reach, grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
-    return DensityEstimate(grid, _kernel_sum(values, grid, bandwidth, 0), bandwidth, 0)
+    return DensityEstimate(grid, _kernel_sum(values, grid, bandwidth, order),
+                           bandwidth, order)
+
+
+def kde_density(values, bandwidth: float | None = None, grid=None,
+                grid_points: int = 512) -> DensityEstimate:
+    """Gaussian-kernel density estimate on an automatic or supplied grid."""
+    return _kde(values, 0, 3.0, bandwidth, grid, grid_points)
 
 
 def kde_derivative(values, order: int, bandwidth: float | None = None, grid=None,
@@ -548,20 +479,7 @@ def kde_derivative(values, order: int, bandwidth: float | None = None, grid=None
     """
     if order < 1:
         raise ValueError(f"need derivative order >= 1, got {order}")
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise ValueError("need a nonempty sample")
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(values, order)
-    elif bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    if grid is None:
-        pad = (6.0 + order) * bandwidth
-        grid = np.linspace(values.min() - pad, values.max() + pad, grid_points)
-    else:
-        grid = np.asarray(grid, dtype=float)
-    return DensityEstimate(grid, _kernel_sum(values, grid, bandwidth, order),
-                           bandwidth, order)
+    return _kde(values, order, 6.0 + order, bandwidth, grid, grid_points)
 
 
 def edgeworth_corrected_density(base: DensityEstimate, derivative: DensityEstimate,
@@ -643,6 +561,7 @@ class AnalysisConfig:
             raise ConfigError("need threads >= 1")
         if self.grid_points < 16:
             raise ConfigError("need at least 16 grid points")
+        _require_tables_fit(self.order, self.sample_count)
 
     def describe(self) -> dict:
         return {
@@ -716,8 +635,11 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
     spec = config.ensemble
     t, order = config.sample_count, config.order
     necklaces_by_order = _necklaces_through(order)
-    tables = _sample_pass(lambda i: sample_pair(spec, i), t, spec.dimension,
-                          necklaces_by_order, config.threads, config)
+    tables = sample_tables(lambda i: sample_pair(spec, i), t, spec.dimension,
+                           _table_words(necklaces_by_order), config.threads,
+                           with_sums=True, seed=spec.seed,
+                           free_rotations=config.free_rotations,
+                           with_classical=config.include_classical)
     degree_result, stats_by_order = _detect(tables, necklaces_by_order, order,
                                             config.alpha)
     free_est = estimate_moments(tables.free_pool, order)
@@ -773,7 +695,6 @@ def _walk_sum_notes(spec: EnsembleSpec, flagged) -> list[str]:
     """Exact walk-sum values for flagged words on chain-adjacency ensembles."""
     if spec.variant != "tridiagonal-adjacency":
         return []
-    from .errors import ResourceLimitError
     from .pathsum import LatticeModel, exact_word_net, gaussian_entry_moments
 
     notes = []

@@ -372,6 +372,15 @@ class MomentEstimate:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "se", np.asarray(self.se, dtype=float))
 
+    @classmethod
+    def from_table(cls, table: np.ndarray, order: int) -> "MomentEstimate":
+        """Column means of a per-sample moment table through order 2 * order, with SEs."""
+        mean = table.mean(axis=0)
+        t = table.shape[0]
+        variance = np.array([mean[2 * k] - mean[k] ** 2 for k in range(order + 1)])
+        se = np.sqrt(np.maximum(0.0, variance) / t)
+        return cls(mean[: order + 1], se, t)
+
 
 def per_sample_moments(eigenvalues: np.ndarray, order: int) -> np.ndarray:
     """Row i holds (1/N) sum_j lambda_ij^k for k = 0..order."""
@@ -396,16 +405,11 @@ def estimate_moments(spectra, order: int) -> MomentEstimate:
         s.eigenvalues if isinstance(s, SpectrumSample) else np.asarray(s, dtype=float)
         for s in spectra
     ])
-    table = per_sample_moments(eigs, 2 * order)
-    mean = table.mean(axis=0)
-    t = table.shape[0]
-    variance = np.array([mean[2 * k] - mean[k] ** 2 for k in range(order + 1)])
-    se = np.sqrt(np.maximum(0.0, variance) / t)
-    return MomentEstimate(mean[: order + 1], se, t)
+    return MomentEstimate.from_table(per_sample_moments(eigs, 2 * order), order)
 
 
 # ---------------------------------------------------------------------------
-# word-trace estimation
+# the sampling pass: word traces and spectra of every pair
 
 # Pairs are processed as stacks of at most _CELL_BUDGET // n^2 pairs (and at
 # least one), so a stacked (c, n, n) product holds about this many doubles:
@@ -413,46 +417,35 @@ def estimate_moments(spectra, order: int) -> MomentEstimate:
 _CELL_BUDGET = 1 << 16
 
 
-def for_each_chunk(count: int, threads: int, run_chunk) -> None:
-    """Call ``run_chunk(indices)`` on contiguous chunks of range(count).
+def _stack_groups(draw, indices: range, dimension: int):
+    """Draw the pairs of ``indices`` as stacks, split by which letters are diagonal.
 
-    With ``threads`` > 1 (and at least two indices per thread) the chunks run
-    on a thread pool; the first failing chunk in index order raises, so the
-    error is the one a serial loop would meet first.
+    Consecutive runs of at most max(1, _CELL_BUDGET // n^2) indices are
+    drawn with ``draw(i)``, checked for the common dimension and stacked.
+    Yields (at, a, b, diagonal): sample indices, the (c, n, n) stacks of
+    those pairs and, per letter, whether all of its matrices are diagonal.
+    Grouping by that pattern keeps each pair's arithmetic a function of the
+    pair alone, however the indices are cut into stacks or threads.
     """
-    if threads <= 1 or count < 2 * threads:
-        run_chunk(range(count))
-        return
-    bounds = [count * j // threads for j in range(threads + 1)]
-    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_chunk, chunks))
-
-
-def sub_chunks(indices: range, dimension: int) -> list[range]:
-    """``indices`` cut into consecutive runs that fit the stack budget."""
     size = max(1, _CELL_BUDGET // (dimension * dimension))
-    return [indices[lo:lo + size] for lo in range(0, len(indices), size)]
-
-
-def stack_groups(pairs):
-    """The pairs as stacks of A and of B, split by which letters are diagonal.
-
-    Yields (rows, a, b, diagonal): positions in ``pairs``, the (c, n, n)
-    stacks of those pairs and, per letter, whether all of its matrices are
-    diagonal.  Grouping by that pattern keeps each pair's arithmetic a
-    function of the pair alone, however the pairs are cut into stacks.
-    """
-    a = np.stack([p.a for p in pairs])
-    b = np.stack([p.b for p in pairs])
-    code = _diagonal_flags(a) + 2 * _diagonal_flags(b)
-    for value in np.unique(code):
-        rows = np.flatnonzero(code == value)
-        diagonal = (bool(value & 1), bool(value & 2))
-        if rows.size == len(pairs):
-            yield rows, a, b, diagonal
-        else:
-            yield rows, a[rows], b[rows], diagonal
+    for start in range(indices.start, indices.stop, size):
+        run = range(start, min(start + size, indices.stop))
+        pairs = [draw(i) for i in run]
+        for i, pair in zip(run, pairs):
+            if pair.dimension != dimension:
+                raise ValueError(
+                    f"sample {i} has dimension {pair.dimension}, expected {dimension}"
+                )
+        a = np.stack([p.a for p in pairs])
+        b = np.stack([p.b for p in pairs])
+        code = _diagonal_flags(a) + 2 * _diagonal_flags(b)
+        for value in np.unique(code):
+            rows = np.flatnonzero(code == value)
+            diagonal = (bool(value & 1), bool(value & 2))
+            if rows.size == len(pairs):
+                yield start + rows, a, b, diagonal
+            else:
+                yield start + rows, a[rows], b[rows], diagonal
 
 
 class _Powers:
@@ -591,28 +584,97 @@ class WordTracePlan:
         return out
 
 
+@dataclass(frozen=True)
+class SampleTables:
+    """The raw observations of one sampling pass (row i = sample i).
+
+    ``traces`` holds the raw normalized traces tr(W)/N of ``words``;
+    ``sums`` the spectrum of A + B; ``free_pool`` the free-rotated sum
+    spectra, the rotations of one sample in consecutive rows; and
+    ``classical_pool`` the permuted sum spectra.  A table the pass was not
+    asked for is None.
+    """
+
+    words: list[Word]
+    traces: np.ndarray
+    sums: np.ndarray | None
+    free_pool: np.ndarray | None
+    classical_pool: np.ndarray | None
+
+
+def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
+                  with_sums: bool = False, seed: int = 0, free_rotations: int = 0,
+                  with_classical: bool = False) -> SampleTables:
+    """Draw each pair once and record the raw observations taken from it.
+
+    ``draw(i)`` returns the i-th of ``count`` pairs of the given dimension.
+    Each pair yields one row of raw traces of ``words``, the spectrum of
+    A + B if ``with_sums``, ``free_rotations`` free-rotated sum spectra and,
+    if ``with_classical``, its permuted sum spectrum; the rotations and
+    permutations come from the per-index streams of ``seed``.  Pairs are
+    drawn one index at a time but processed as stacks (``_stack_groups``),
+    one numpy call per step for the whole stack.  With ``threads`` > 1 (and
+    at least two indices per thread) contiguous chunks of indices run on a
+    thread pool, and the first failing chunk in index order raises, so the
+    error is the one a serial loop would meet first.  Every quantity is a
+    function of the index alone, so the tables depend neither on
+    ``threads`` nor on how the stacks are cut.
+    """
+    words = list(words)
+    plan = WordTracePlan(words)
+    traces = np.empty((count, plan.size))
+    sums = np.empty((count, dimension)) if with_sums else None
+    free_pool = np.empty((count * free_rotations, dimension)) if free_rotations else None
+    classical_pool = np.empty((count, dimension)) if with_classical else None
+
+    def run_chunk(indices):
+        powers = StackPowers()
+        for at, a, b, diagonal in _stack_groups(draw, indices, dimension):
+            powers.load(a, b, diagonal)
+            if sums is not None:
+                sums[at] = _eigenvalues(a + b, all(diagonal))
+            # errstate is per thread; the finite check below reports overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                traces[at] = plan.traces(powers)
+            for j in range(free_rotations):
+                z = np.stack([stream(seed, i, _FREE_STREAM, j).standard_normal(a.shape[1:])
+                              for i in at])
+                free_pool[at * free_rotations + j] = _free_sum_eigenvalues(a, b, z)
+            if classical_pool is not None:
+                perms = np.stack([stream(seed, i, _CLASSICAL_STREAM).permutation(dimension)
+                                  for i in at])
+                eb = np.take_along_axis(powers.b.eigenvalues(), perms, axis=1)
+                classical_pool[at] = np.sort(powers.a.eigenvalues() + eb, axis=1)
+
+    if threads > 1 and count >= 2 * threads:
+        bounds = [count * j // threads for j in range(threads + 1)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_chunk, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]))
+    else:
+        run_chunk(range(count))
+    require_finite(traces, "word trace", [w.length for w in words])
+    return SampleTables(words, traces, sums, free_pool, classical_pool)
+
+
+def require_finite(table: np.ndarray, what: str, orders) -> None:
+    """InputError naming the order of the first column with a non-finite entry."""
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=0))
+    if bad.size:
+        raise InputError(f"non-finite sample {what} at order {orders[bad[0]]}: "
+                         "entries too large for double-precision powers")
+
+
 def word_trace_table(pairs, words) -> np.ndarray:
     """Raw normalized traces tr(W)/N per sample and word.
 
     Returns an array of shape (t, len(words)); the empty word reads 1.
     Centered traces are linear in this table (see moments.centering_map).
+    Traces that overflow double precision raise InputError naming the order.
     """
     pairs = list(pairs)
-    plan = WordTracePlan(words)
     if not pairs:
         raise ValueError("need at least one sample")
-    dimension = pairs[0].dimension
-    for i, pair in enumerate(pairs):
-        if pair.dimension != dimension:
-            raise ValueError(
-                f"sample {i} has dimension {pair.dimension}, expected {dimension}"
-            )
-    out = np.empty((len(pairs), plan.size))
-    powers = StackPowers()
-    for sub in sub_chunks(range(len(pairs)), dimension):
-        for rows, a, b, diagonal in stack_groups(pairs[sub.start:sub.stop]):
-            out[sub.start + rows] = plan.traces(powers.load(a, b, diagonal))
-    return out
+    return sample_tables(pairs.__getitem__, len(pairs), pairs[0].dimension, words).traces
 
 
 def estimate_word_net(samples, word: Word) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from math import asin, comb, isfinite, pi, sqrt
 import numpy as np
 
 from .series import _classical_recursion, _is_exact
-from .words import Word, word_expansion
+from .words import Word, canonical_blocks, word_expansion
 
 
 def _check_moments(mu, name: str = "mu"):
@@ -212,24 +212,6 @@ def classical_joint_moment(word: Word, mu_a, mu_b):
     return _pure_moment(mus, 0, totals[0]) * _pure_moment(mus, 1, totals[1])
 
 
-def _canonical_blocks(blocks: tuple) -> tuple:
-    """Blocks of the least rotation of a cyclic word: ``Word(blocks).canonical().blocks``."""
-    symbols = tuple(letter for letter, e in blocks for _ in range(e))
-    if not symbols:
-        return ()
-    best = min(symbols[i:] + symbols[:i] for i in range(len(symbols)))
-    merged = [[best[0], 0]]
-    for letter in best:
-        if letter == merged[-1][0]:
-            merged[-1][1] += 1
-        else:
-            merged.append([letter, 1])
-    # cyclic wrap: first and last block of a trace term are adjacent
-    while len(merged) > 1 and merged[0][0] == merged[-1][0]:
-        merged[0][1] += merged.pop()[1]
-    return tuple((letter, e) for letter, e in merged)
-
-
 def _block_deletions(blocks: tuple, moment) -> list:
     """Expansion of the centered product prod_i (X_i^(e_i) - c_i) over block subsets.
 
@@ -278,13 +260,13 @@ def free_joint_moment(word: Word, mu_a, mu_b):
                 continue
             key = canonical.get(rest)
             if key is None:
-                key = canonical[rest] = _canonical_blocks(rest)
+                key = canonical[rest] = canonical_blocks(rest)
             total += coefficient * net(key)
         value = -total
         memo[blocks] = value
         return value
 
-    return net(_canonical_blocks(word.blocks))
+    return net(canonical_blocks(word.blocks))
 
 
 def centering_map(words, mu_a, mu_b) -> np.ndarray:
@@ -302,7 +284,7 @@ def centering_map(words, mu_a, mu_b) -> np.ndarray:
         raise ValueError("the word list must start with the empty word")
     if any(a.length > b.length for a, b in zip(words, words[1:])):
         raise ValueError("words must be ordered by length")
-    canonical = [_canonical_blocks(w.blocks) for w in words]
+    canonical = [canonical_blocks(w.blocks) for w in words]
     column = {blocks: j for j, blocks in enumerate(canonical)}
     if len(column) != len(words):
         raise ValueError("words must be distinct up to rotation")
@@ -318,7 +300,7 @@ def centering_map(words, mu_a, mu_b) -> np.ndarray:
         for rest, coefficient in _block_deletions(blocks, moment):
             i = rest_column.get(rest)
             if i is None:
-                key = _canonical_blocks(rest)
+                key = canonical_blocks(rest)
                 i = rest_column[rest] = column.get(key)
                 if i is None:
                     raise ValueError(

@@ -11,6 +11,7 @@ canonical representative usable as a memoization key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd
 from string import ascii_uppercase as _LETTERS
 
@@ -21,6 +22,39 @@ def _totient(d: int) -> int:
         if gcd(d, m) == 1:
             count += 1
     return count
+
+
+def _merged(blocks) -> tuple:
+    """Blocks without zero exponents and with equal neighbours merged.
+
+    Merging also runs across the cyclic wrap: the first and last block of a
+    trace term are adjacent.
+    """
+    merged: list[list[int]] = []
+    for letter, exponent in blocks:
+        if exponent == 0:
+            continue
+        if merged and merged[-1][0] == letter:
+            merged[-1][1] += exponent
+        else:
+            merged.append([letter, exponent])
+    while len(merged) > 1 and merged[0][0] == merged[-1][0]:
+        merged[0][1] += merged.pop()[1]
+    return tuple((letter, e) for letter, e in merged)
+
+
+def canonical_blocks(blocks) -> tuple:
+    """Blocks of the lexicographically least rotation of a cyclic word's symbols.
+
+    With two or more letters the least rotation starts with its least
+    letter and ends with another one, so its runs need no merge across the
+    cyclic wrap.
+    """
+    symbols = tuple(letter for letter, e in blocks for _ in range(e))
+    if not symbols:
+        return ()
+    best = min(symbols[i:] + symbols[:i] for i in range(len(symbols)))
+    return tuple((letter, len(tuple(run))) for letter, run in groupby(best))
 
 
 @dataclass(frozen=True)
@@ -39,23 +73,13 @@ class Word:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.k}")
-        merged: list[list[int]] = []
-        for letter, exponent in self.blocks:
+        blocks = tuple(self.blocks)
+        for letter, exponent in blocks:
             if exponent < 0:
                 raise ValueError(f"negative exponent {exponent}")
             if not 0 <= letter < self.k:
                 raise ValueError(f"letter {letter} outside alphabet of size {self.k}")
-            if exponent == 0:
-                continue
-            if merged and merged[-1][0] == letter:
-                merged[-1][1] += exponent
-            else:
-                merged.append([letter, exponent])
-        # cyclic wrap: first and last block of a trace term are adjacent
-        while len(merged) > 1 and merged[0][0] == merged[-1][0]:
-            merged[0][1] += merged[-1][1]
-            merged.pop()
-        object.__setattr__(self, "blocks", tuple((l, e) for l, e in merged))
+        object.__setattr__(self, "blocks", _merged(blocks))
 
     @classmethod
     def from_symbols(cls, symbols, k: int | None = None) -> "Word":
@@ -99,12 +123,7 @@ class Word:
 
     def canonical(self) -> "Word":
         """Lexicographically least rotation of the flattened symbol string."""
-        s = self.symbols
-        n = len(s)
-        if n == 0:
-            return self
-        best = min(s[i:] + s[:i] for i in range(n))
-        return Word.from_symbols(best, self.k)
+        return Word(canonical_blocks(self.blocks), self.k)
 
     def multiplicity(self) -> int:
         """Number of distinct rotations, i.e. the smallest period of the string."""

@@ -18,7 +18,7 @@ from partialfree.analysis import (
     run_analysis,
     silverman_bandwidth,
 )
-from partialfree.errors import ConfigError
+from partialfree.errors import ConfigError, ResourceLimitError
 from partialfree.matrices import EnsembleSpec, sample_pair
 from partialfree.moments import (
     classical_cumulants_from_moments,
@@ -294,6 +294,25 @@ def test_detect_degree_validation():
         detect_degree(samples, 4, 1.5)
 
 
+def test_scan_orders_whose_tables_cannot_fit_are_refused_before_sampling(monkeypatch):
+    # order 18 needs W = 31238 words: the W x W centering map alone is 7.3 GiB
+    spec = EnsembleSpec.goe(4, seed=2)
+    samples = [sample_pair(spec, i) for i in range(30)]
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1))
+    with pytest.raises(ResourceLimitError, match=r"K = 18.*W = 31238.*2\^29"):
+        detect_degree(samples, 18, 0.01)
+    with pytest.raises(ResourceLimitError, match="K = 18"):
+        localize_violations(samples, 18, 0.01)
+    with pytest.raises(ResourceLimitError, match="K = 18"):
+        AnalysisConfig(ensemble=spec, sample_count=30, order=18).validate()
+    assert calls == []
+    # the bound counts samples too: order 16 fits at t = 30 but not at t = 10^5
+    AnalysisConfig(ensemble=spec, sample_count=30, order=16).validate()
+    with pytest.raises(ResourceLimitError, match="K = 16"):
+        AnalysisConfig(ensemble=spec, sample_count=100000, order=16).validate()
+
+
 def test_detect_degree_relabel_invariance():
     samples = _diagonal_samples(t=200, seed=29)
     from partialfree.matrices import MatrixPairSample
@@ -495,8 +514,8 @@ def test_pipeline_classical_moments_match_public_sampler():
     # the pass's permuted-sum and free-rotated spectra (stacked rotations,
     # eigenvalues once per diagonal or fixed matrix) must equal what the
     # public one-pair samplers draw from the same per-index streams
-    from partialfree.analysis import _CLASSICAL_STREAM, _FREE_STREAM
-    from partialfree.matrices import (estimate_moments, sample_classical_sum_spectrum,
+    from partialfree.matrices import (_CLASSICAL_STREAM, _FREE_STREAM, estimate_moments,
+                                      sample_classical_sum_spectrum,
                                       sample_free_sum_spectrum, stream)
 
     for spec in (EnsembleSpec.goe(6, seed=12), EnsembleSpec.tridiagonal_adjacency(10, seed=14),
@@ -533,7 +552,8 @@ def _mixed_pair_file(path, n=5, t=23, seed=61):
 def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
     # stacks of 1, 7 (ragged) and all t pairs give bit-identical raw tables
     from partialfree import matrices
-    from partialfree.analysis import _necklaces_through, _sample_pass
+    from partialfree.analysis import _necklaces_through, _table_words
+    from partialfree.matrices import sample_tables, word_trace_table
 
     t = 23
     if variant == "mixed-file":
@@ -544,16 +564,18 @@ def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
                 "gaussian-diagonal": EnsembleSpec.gaussian_diagonal(6, seed=63),
                 "tridiagonal": EnsembleSpec.tridiagonal_adjacency(8, seed=64)}[variant]
     n = spec.dimension
-    config = AnalysisConfig(ensemble=spec, sample_count=t, order=6, alpha=0.01,
-                            free_rotations=2)
+    words = _table_words(_necklaces_through(6))
     tables = []
     for size in (1, 7, t):
         monkeypatch.setattr(matrices, "_CELL_BUDGET", size * n * n)
-        tables.append(_sample_pass(lambda i: sample_pair(spec, i), t, n,
-                                   _necklaces_through(6), 1, config))
+        tables.append(sample_tables(lambda i: sample_pair(spec, i), t, n, words, 1,
+                                    with_sums=True, seed=spec.seed, free_rotations=2,
+                                    with_classical=True))
     for other in tables[1:]:
         for field in ("traces", "sums", "free_pool", "classical_pool"):
             assert np.array_equal(getattr(tables[0], field), getattr(other, field)), field
+    pairs = [sample_pair(spec, i) for i in range(t)]
+    assert np.array_equal(word_trace_table(pairs, words), tables[0].traces)
 
 
 def test_pipeline_eigensolves_once_per_pair_and_fixed_matrix(monkeypatch):

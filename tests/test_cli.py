@@ -244,6 +244,14 @@ def test_pathsum_hop_limit_exit_code(capsys):
     assert "resource limit" in err
 
 
+def test_scan_order_beyond_the_table_bound_exit_code(capsys):
+    # default K = n = 18: the trace tables would need more than 2^29 cells
+    code, out, err = run_cli(capsys, "demo", "pauli", "--n", "18", "--threads", "1")
+    assert code == 4
+    assert out == ""
+    assert "K = 18" in err and "2^29" in err
+
+
 def test_help_documents_flags(capsys):
     code, out, _ = run_cli(capsys, "demo", "--help")
     assert code == 0

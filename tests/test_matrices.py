@@ -174,6 +174,10 @@ def test_estimate_word_net_pauli_exact():
     est3, se3 = estimate_word_net(samples, Word.from_string("ABABAB"))
     assert est3 == pytest.approx(1.0, abs=1e-12)
     assert se3 == pytest.approx(0.0, abs=1e-9)
+    # the doubled word AA overflows: InputError naming its order, not inf
+    huge = [MatrixPairSample(np.eye(2) * 1e200, np.eye(2))]
+    with pytest.raises(InputError, match="order 2"):
+        estimate_word_net(huge, Word.from_string("A"))
 
 
 def test_estimate_word_net_cross_word_near_zero():

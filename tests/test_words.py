@@ -96,6 +96,8 @@ def test_canonical_is_rotation_invariant(symbols, shift):
     a = Word.from_symbols(symbols, 3).canonical()
     b = Word.from_symbols(rotated, 3).canonical()
     assert a == b
+    least = min(tuple(symbols[i:] + symbols[:i]) for i in range(len(symbols)))
+    assert a.symbols == least
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=3))
