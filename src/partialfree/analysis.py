@@ -424,19 +424,52 @@ def silverman_bandwidth(values, derivative_order: int = 0) -> float:
     return scale * (ratio / n) ** (1.0 / (2 * r + 5))
 
 
+_NODES_PER_BANDWIDTH = 16
+
+
+def _binned(values: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the linear binning of ``values``.
+
+    The m = ceil(16 ptp / h) + 1 nodes are uniform over [min, max], at most
+    h/16 apart; each value splits its unit weight between its two nodes in
+    proportion to its distance from the other one.  When m >= N the values
+    themselves are the nodes, with unit weights.  The nodes depend on the
+    values and h only, never on the derivative order, so every f^(r) is the
+    exact derivative of one binned density.
+    """
+    lo = values.min()
+    span = values.max() - lo
+    ratio = _NODES_PER_BANDWIDTH * span / bandwidth
+    # m >= N exactly when ratio > N - 2; an infinite or NaN ratio (values
+    # that overflow or are not finite) takes this branch too
+    if not ratio <= values.size - 2:
+        return values, np.ones(values.size)
+    if span == 0:
+        return values[:1], np.array([float(values.size)])
+    m = math.ceil(ratio) + 1
+    step = span / (m - 1)
+    pos = (values - lo) / step
+    left = np.minimum(pos.astype(np.intp), m - 2)
+    right_share = pos - left
+    weights = (np.bincount(left, 1.0 - right_share, m)
+               + np.bincount(left + 1, right_share, m))
+    return lo + step * np.arange(m), weights
+
+
 def _kernel_sum(values: np.ndarray, grid: np.ndarray, bandwidth: float,
                 derivative_order: int) -> np.ndarray:
+    nodes, weights = _binned(values, bandwidth)
     # blocks of whole grid rows of about _CELL_BUDGET kernel cells keep the
-    # temporaries small; each row stays one reduction over all the values
+    # temporaries small; each row stays one reduction over all the nodes
     out = np.empty(grid.size)
-    chunk = max(1, _CELL_BUDGET // max(1, values.size))
+    chunk = max(1, _CELL_BUDGET // nodes.size)
     for start in range(0, grid.size, chunk):
         block = grid[start:start + chunk]
-        u = (block[:, None] - values[None, :]) / bandwidth
+        u = (block[:, None] - nodes[None, :]) / bandwidth
         w = np.exp(-0.5 * u * u)
         if derivative_order:
             w = w * hermite(derivative_order, u)
-        out[start:start + chunk] = w.sum(axis=1)
+        out[start:start + chunk] = (w * weights).sum(axis=1)
     sign = -1.0 if derivative_order % 2 else 1.0
     norm = values.size * bandwidth ** (derivative_order + 1) * math.sqrt(2.0 * math.pi)
     return sign * out / norm
@@ -463,7 +496,12 @@ def _kde(values, order: int, pad: float, bandwidth: float | None, grid,
 
 def kde_density(values, bandwidth: float | None = None, grid=None,
                 grid_points: int = 512) -> DensityEstimate:
-    """Gaussian-kernel density estimate on an automatic or supplied grid."""
+    """Gaussian-kernel density estimate on an automatic or supplied grid.
+
+    The values are first linearly binned onto nodes at most h/16 apart,
+    which moves the estimate by at most (1/16)^2 / (8 sqrt(2 pi) h), about
+    2e-4 / h, at any grid point.
+    """
     return _kde(values, 0, 3.0, bandwidth, grid, grid_points)
 
 

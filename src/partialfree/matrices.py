@@ -104,6 +104,8 @@ class EnsembleSpec:
             raise ConfigError(f"unknown ensemble variant {self.variant!r}")
         if self.dimension < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.variant == "pauli-block-pair" and self.dimension % 2:
             raise ConfigError("pauli-block-pair needs an even dimension")
         if self.variant == "rotation-pair-2x2" and self.dimension != 2:

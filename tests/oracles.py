@@ -6,7 +6,8 @@ non-crossing partitions, classical cumulants from the logarithm of the
 exponential moment generating series, series reversion from the Lagrange
 formula, word traces from index sums over matrix entries or from
 explicit block powers, the centering map from per-subset ``Word`` objects
-and kernel density sums one grid point at a time.  None of it calls the
+and kernel density sums one grid point at a time (with the bound on the
+error that linear binning may add to them).  None of it calls the
 code paths under test beyond basic data types.
 """
 
@@ -251,3 +252,22 @@ def kernel_sum_per_point(values, grid, bandwidth, order):
     sign = -1.0 if order % 2 else 1.0
     norm = values.size * bandwidth ** (order + 1) * math.sqrt(2.0 * math.pi)
     return sign * out / norm
+
+
+def kernel_sum_binning_bound(bandwidth, order):
+    """Largest error linear binning can add to ``kernel_sum_per_point``.
+
+    Binning replaces each value's kernel by its linear interpolant between
+    two nodes at most delta = h / 16 apart, which errs by at most delta^2 / 8
+    times the largest second derivative in the value.  At every grid point
+    that is (delta/h)^2 / 8 * max_u |He_(order+2)(u) exp(-u^2/2)|
+    / (sqrt(2 pi) h^(order+1)), the maximum taken on a 1e-4 grid of u.
+    """
+    r = order + 2
+    u = np.linspace(-(r + 10.0), r + 10.0, int(2e4 * (r + 10)) + 1)
+    prev, cur = np.ones_like(u), u.copy()
+    for m in range(1, r):
+        prev, cur = cur, u * cur - m * prev
+    peak = np.abs(cur * np.exp(-0.5 * u * u)).max()
+    return ((1.0 / 16) ** 2 / 8.0 * peak
+            / (math.sqrt(2.0 * math.pi) * bandwidth ** (order + 1)))

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from partialfree.moments import (
 )
 from partialfree.series import hermite_coefficients
 
-from oracles import kernel_sum_per_point
+from oracles import kernel_sum_binning_bound, kernel_sum_per_point
 
 # ---------------------------------------------------------------------------
 # density estimation
@@ -130,21 +131,88 @@ def _gaussian_fixture(n=20000, seed=5):
     return rng.standard_normal(n)
 
 
+def _values_are_nodes(values, h):
+    # the binning rule asks for ceil(16 ptp / h) + 1 nodes; with at least
+    # as many nodes as values, the values themselves are the nodes
+    return math.ceil(16 * np.ptp(values) / h) + 1 >= values.size
+
+
+def _assert_within_binning_bound(est, values, grid, h, order):
+    # the binning bound (none when the values are the nodes), plus a
+    # rounding slack scaled to the oracle
+    oracle = kernel_sum_per_point(values, grid, h, order)
+    assert np.all(np.isfinite(est))
+    slack = 1e-12 * max(1.0, np.abs(oracle).max())
+    bound = 0.0 if _values_are_nodes(values, h) else kernel_sum_binning_bound(h, order)
+    assert np.max(np.abs(est - oracle)) <= bound + slack
+
+
+def _kernel_estimate(values, order, h, grid):
+    if order:
+        return kde_derivative(values, order, bandwidth=h, grid=grid).values
+    return kde_density(values, bandwidth=h, grid=grid).values
+
+
 @pytest.mark.parametrize("size", [200, 3_000, 70_000],
                          ids=["below-one-block", "ragged-blocks", "above-budget"])
 @pytest.mark.parametrize("order", [0, 1, 8])
 def test_kernel_sums_match_per_point_oracle(size, order):
-    # blocking the grid must not change a single bit: every grid point is
-    # still one sum over all values (block heights 327, 21 and 1 against
-    # 101 grid points)
+    # linear binning onto nodes at most h/16 apart stays within its error
+    # bound of the exact per-point sums; the 200 values are the nodes
+    # themselves, so only rounding separates the two
     values = np.random.default_rng(53).standard_normal(size)
     grid = np.linspace(-4.0, 4.0, 101)
     h = 0.3
-    if order:
-        est = kde_derivative(values, order, bandwidth=h, grid=grid)
-    else:
-        est = kde_density(values, bandwidth=h, grid=grid)
-    assert np.array_equal(est.values, kernel_sum_per_point(values, grid, h, order))
+    assert _values_are_nodes(values, h) == (size == 200)
+    _assert_within_binning_bound(_kernel_estimate(values, order, h, grid),
+                                 values, grid, h, order)
+
+
+def _normal(seed, size):
+    return np.random.default_rng(seed).standard_normal(size)
+
+
+@pytest.mark.parametrize("values, grid", [
+    (np.full(50, 2.5), np.linspace(1.0, 4.0, 31)),
+    (np.array([1.25]), np.linspace(-1.0, 3.0, 41)),
+    (np.repeat([0.0, 0.37, 1.0], 400), np.linspace(-1.0, 2.0, 61)),
+    (np.concatenate([_normal(61, 300), [-1e4, 1e4]]), np.linspace(-4.0, 4.0, 81)),
+    (_normal(62, 5000), np.array([0.1])),
+    (_normal(63, 5000), np.sort(np.random.default_rng(64).uniform(-4.0, 4.0, 57))),
+], ids=["all-equal", "single-value", "atoms", "far-outliers", "one-point-grid",
+        "non-uniform-grid"])
+@pytest.mark.parametrize("order", [0, 3])
+def test_binned_kernel_sums_edge_cases(values, grid, order):
+    # a point mass gives one node, one value or far outliers make the values
+    # the nodes, atoms between nodes get no averaging over positions, and
+    # any grid takes the same path
+    h = 0.4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = _kernel_estimate(values, order, h, grid)
+    assert est.shape == grid.shape
+    _assert_within_binning_bound(est, values, grid, h, order)
+
+
+def test_report_densities_within_binning_bound_of_oracle():
+    from partialfree.matrices import sample_tables
+
+    # the pools are the pipeline's, redrawn through the public sampler
+    spec = EnsembleSpec.tridiagonal_adjacency(24, seed=3, circulant=True)
+    config = AnalysisConfig(ensemble=spec, sample_count=40, order=8, alpha=1e-3)
+    d = run_analysis(config).densities
+    assert d["derivative_order"] == 8
+    tables = sample_tables(lambda i: sample_pair(spec, i), 40, 24, [], with_sums=True,
+                           seed=spec.seed, free_rotations=config.free_rotations,
+                           with_classical=True)
+    grid = np.array(d["grid"])
+    for key, pool, h, order in (
+            ("f_free", tables.free_pool, d["bandwidth"], 0),
+            ("f_sum", tables.sums, d["bandwidth"], 0),
+            ("f_classical", tables.classical_pool, d["bandwidth"], 0),
+            ("f_derivative", tables.free_pool, d["derivative_bandwidth"],
+             d["derivative_order"])):
+        _assert_within_binning_bound(np.array(d[key]), pool.ravel(), grid, h, order)
 
 
 def test_kde_derivative_memory_is_bounded():

@@ -237,6 +237,26 @@ def test_demo_rejects_bad_dimension(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "demo"])
+def test_negative_seed_is_refused_before_sampling(command, tmp_path, capsys, monkeypatch):
+    from partialfree import analysis
+
+    def no_run(config):
+        raise AssertionError("the pipeline must not start")
+
+    monkeypatch.setattr(analysis, "run_analysis", no_run)
+    if command == "analyze":
+        path = tmp_path / "pairs.jsonl"
+        _write_diagonal_pairs(path, t=40)
+        argv = ["analyze", "--input", str(path)]
+    else:
+        argv = ["demo", "arcsine", "--t", "40"]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed must be a non-negative integer, got -1" in err
+
+
 def test_pathsum_hop_limit_exit_code(capsys):
     code, _, err = run_cli(capsys, "pathsum", "--word", "B" * 21,
                            "--chain", "6", "--moments", "0,1")
