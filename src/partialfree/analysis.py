@@ -30,11 +30,11 @@ raw table through one linear inclusion-exclusion map
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, InputError, ResourceLimitError
 from .matrices import (
     _CELL_BUDGET,
     EnsembleSpec,
@@ -63,18 +63,30 @@ _EXACT_ATOL = 1e-9
 
 
 def _two_sided_test(diff: float, se: float, scale: float) -> tuple[float, float]:
-    """z statistic and p-value; differences at numerical-noise scale never reject.
+    """z statistic and p-value; differences within 1e-9 * ``scale`` never reject.
 
-    With a zero standard error (deterministic ensembles) the test degrades
-    to an exact comparison at the same absolute tolerance.
+    ``scale`` is the order's noise scale (``_noise_scales``), so the floor
+    moves with the units of the matrices.  With a zero standard error
+    (deterministic ensembles) the test degrades to an exact comparison at
+    the same tolerance.
     """
-    atol = _EXACT_ATOL * max(1.0, scale)
-    if abs(diff) <= atol:
+    if abs(diff) <= _EXACT_ATOL * scale:
         return 0.0, 1.0
     if se > 0.0:
         z = diff / se
         return z, math.erfc(abs(z) / math.sqrt(2.0))
     return math.inf if diff > 0 else -math.inf, 0.0
+
+
+def _noise_scales(mu_a, mu_b, order: int) -> np.ndarray:
+    """(mu_2(A) + mu_2(B))^(k/2) for k = 0..order: the order-k tests' noise scale.
+
+    Like every order-k statistic it is homogeneous of degree k in the
+    matrices, so rescaling all pairs leaves every test unchanged.  All-zero
+    pairs give a zero scale, where only an exact zero difference passes.
+    """
+    with np.errstate(over="ignore"):
+        return (np.float64(mu_a[2]) + mu_b[2]) ** (np.arange(order + 1) / 2)
 
 
 @dataclass(frozen=True)
@@ -166,15 +178,9 @@ def _pure_moments(tables: SampleTables, order: int) -> tuple[np.ndarray, np.ndar
                  for letter in (0, 1))
 
 
-def _necklaces_through(order: int) -> dict:
-    """Necklaces of every order 1..order, keyed by order."""
-    return {k: word_expansion(k, 2) for k in range(1, order + 1)}
-
-
-def _table_words(necklaces_by_order) -> list[Word]:
-    """The trace table's columns: the empty word, then the necklaces by order."""
-    return [Word.empty()] + [n.word for necklaces in necklaces_by_order.values()
-                             for n in necklaces]
+def _table_words(order: int) -> list[Word]:
+    """The trace table's columns: the empty word, then the necklaces of orders 1..order."""
+    return [Word.empty()] + [n.word for k in range(1, order + 1) for n in word_expansion(k, 2)]
 
 
 def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
@@ -214,12 +220,10 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
         spread = ((loo - loo.mean(axis=2, keepdims=True)) ** 2).sum(axis=2)
         diff_se, pred_se = np.sqrt((t - 1) / t * spread)
 
+    scale = _noise_scales(rep_a[:, 0], rep_b[:, 0], order)
     rows = []
     for k in range(1, order + 1):
-        z, p_value = _two_sided_test(
-            float(diffs[k]), float(diff_se[k]),
-            max(abs(float(summed.values[k])), abs(float(predicted[k]))),
-        )
+        z, p_value = _two_sided_test(float(diffs[k]), float(diff_se[k]), scale[k])
         rows.append(MomentRow(
             order=k,
             estimate=float(summed.values[k]),
@@ -253,7 +257,102 @@ def _require_tables_fit(order: int, t: int) -> None:
             f"2^29 = {_TABLE_CELLS_LIMIT} cells")
 
 
-def _detect(tables: SampleTables, necklaces_by_order, order: int, alpha: float):
+def _sample_words(draw, count: int, dimension: int, order: int, threads: int,
+                  **pass_options) -> SampleTables:
+    """``sample_tables`` over every necklace through ``order``, and at least order 2.
+
+    The order-2 pure moments set the tests' noise scale.  The table bound
+    is checked before any pair is drawn.
+    """
+    order = max(order, 2)
+    _require_tables_fit(order, count)
+    return sample_tables(draw, count, dimension, _table_words(order), threads,
+                         **pass_options)
+
+
+def _column_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and Monte Carlo SE, std/sqrt(t), of every column of a (t, W) table.
+
+    Each column is reduced as a contiguous row of the transpose: numpy sums
+    pairwise along the last axis only, so it sums as its own 1-D slice would.
+    (The <W^2>-based proxy of estimate_word_net is not the sampling variance
+    of the mean, and can vanish while the statistic fluctuates.)
+    """
+    t = table.shape[0]
+    rows = np.ascontiguousarray(table.T)
+    return rows.mean(axis=1), rows.std(axis=1, ddof=1 if t > 1 else 0) / math.sqrt(t)
+
+
+def _require_finite_stats(records, order_of) -> None:
+    """InputError naming the first non-finite statistic of the records, and its order.
+
+    Only a moment row's z may be infinite (an exact difference with zero SE).
+    """
+    for record in records:
+        for field in fields(record):
+            value = getattr(record, field.name)
+            if isinstance(value, float) and field.name != "z" and not math.isfinite(value):
+                raise InputError(f"non-finite {field.name} at order {order_of(record)}: "
+                                 "statistics too large for double precision")
+
+
+class _WordScan:
+    """Per column of a raw trace table: the centered mean, its SE and the free p-value.
+
+    The centered traces tr(prod (X^e - mu_e))/N are the raw table times the
+    inclusion-exclusion map (moments.centering_map).  The degree scan reads
+    only the p-values; ``rows`` builds the report rows of one order.
+    """
+
+    def __init__(self, tables: SampleTables):
+        self.tables = tables
+        self.lengths = [w.length for w in tables.words]
+        self.mu = [m.mean(axis=0) for m in _pure_moments(tables, self.lengths[-1])]
+        self.scale = _noise_scales(*self.mu, self.lengths[-1])
+        self.expansion = centering_map(tables.words, *self.mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, se = _column_stats(tables.traces @ self.expansion)
+        self.mean, self.se = mean.tolist(), se.tolist()
+        self.p_free = [_two_sided_test(m, s, self.scale[k])[1]
+                       for m, s, k in zip(self.mean, self.se, self.lengths)]
+
+    def flagged(self, order: int, level: float) -> list[str]:
+        """The words of ``order`` whose free test rejects at ``level``."""
+        return [w.to_string() for w, k, p in zip(self.tables.words, self.lengths, self.p_free)
+                if k == order and p < level]
+
+    def rows(self, order: int, alpha: float) -> list[WordStatistic]:
+        """Report rows of the words of ``order``, flagged at alpha / (their count)."""
+        columns = [c for c, k in enumerate(self.lengths) if k == order]
+        level = alpha / len(columns)
+        rows = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimates, ses = _column_stats(self.tables.traces[:, columns])
+            # the free predictions through this order solve the centering map
+            free = free_word_moments(self.expansion[:columns[-1] + 1, :columns[-1] + 1])
+            for c, estimate, se in zip(columns, estimates.tolist(), ses.tolist()):
+                word = self.tables.words[c]
+                classical = float(classical_joint_moment(word, *self.mu))
+                _, p_classical = _two_sided_test(estimate - classical, se, self.scale[order])
+                rows.append(WordStatistic(
+                    word=word,
+                    multiplicity=word.multiplicity(),
+                    estimate=estimate,
+                    se=se,
+                    classical_prediction=classical,
+                    free_prediction=float(free[c]),
+                    centered_estimate=self.mean[c],
+                    centered_se=self.se[c],
+                    p_value_classical=p_classical,
+                    p_value_free=self.p_free[c],
+                    flagged_classical=p_classical < level,
+                    flagged_free=self.p_free[c] < level,
+                ))
+        _require_finite_stats(rows, lambda stat: order)
+        return rows
+
+
+def _detect(tables: SampleTables, order: int, alpha: float):
     """Two-stage scan for the first order deviating from free independence.
 
     Stage one tests the aggregated moment difference at each order.  Stage
@@ -265,16 +364,17 @@ def _detect(tables: SampleTables, necklaces_by_order, order: int, alpha: float):
     budget alpha is split evenly between the stages, Bonferroni-corrected
     within each (K moment tests; all cyclic terms through order K).
 
-    Returns the DegreeResult plus the per-order word statistics, so callers
-    can reuse them for localization.
+    Returns the DegreeResult plus the word scan, from which callers build
+    the report rows of the degree.
     """
     moment_level = alpha / (2 * order)
     word_level = alpha / (2 * _word_family_size(order))
     with np.errstate(over="ignore", invalid="ignore"):
         m_s = per_sample_moments(tables.sums, 2 * order)
-    require_finite(m_s, "moment of A + B", range(2 * order + 1))
-    rows = _moment_stage(*_pure_moments(tables, order), m_s, order, moment_level)
-    stats_by_order = _word_statistics(necklaces_by_order, tables, word_level)
+        require_finite(m_s, "moment of A + B", range(2 * order + 1))
+        rows = _moment_stage(*_pure_moments(tables, order), m_s, order, moment_level)
+    _require_finite_stats(rows, lambda row: row.order)
+    scan = _WordScan(tables)
     degree = None
     triggered_by = None
     triggering: tuple[str, ...] = ()
@@ -282,34 +382,11 @@ def _detect(tables: SampleTables, necklaces_by_order, order: int, alpha: float):
         if rows[k - 1].reject:
             degree, triggered_by = k, "moment"
             break
-        rejected = [s.word.to_string() for s in stats_by_order[k] if s.flagged_free]
+        rejected = scan.flagged(k, word_level)
         if rejected:
             degree, triggered_by, triggering = k, "word", tuple(rejected)
             break
-    return DegreeResult(degree, order, alpha, tuple(rows), triggered_by,
-                        triggering), stats_by_order
-
-
-def _word_statistics(necklaces_by_order, tables: SampleTables,
-                     flag_level: float) -> dict[int, list[WordStatistic]]:
-    """Word statistics for every order of ``necklaces_by_order``.
-
-    The centered traces tr(prod (X^e - mu_e))/N are the raw table times the
-    inclusion-exclusion map, and the free predictions solve that same map.
-    """
-    mu_a, mu_b = (m.mean(axis=0) for m in _pure_moments(tables, max(necklaces_by_order)))
-    expansion = centering_map(tables.words, mu_a, mu_b)
-    centered = tables.traces @ expansion
-    free = free_word_moments(expansion)
-    out: dict[int, list[WordStatistic]] = {}
-    column = 1
-    for k, necklaces in necklaces_by_order.items():
-        columns = slice(column, column + len(necklaces))
-        column += len(necklaces)
-        out[k] = _stats_from_table(necklaces, tables.traces[:, columns],
-                                   centered[:, columns], free[columns],
-                                   mu_a, mu_b, flag_level)
-    return out
+    return DegreeResult(degree, order, alpha, tuple(rows), triggered_by, triggering), scan
 
 
 def detect_degree(samples, order: int, alpha: float, threads: int = 1) -> DegreeResult:
@@ -325,48 +402,9 @@ def detect_degree(samples, order: int, alpha: float, threads: int = 1) -> Degree
         raise ConfigError(f"need a scan order >= 2, got {order}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    _require_tables_fit(order, len(samples))
-    necklaces_by_order = _necklaces_through(order)
-    tables = sample_tables(samples.__getitem__, len(samples), samples[0].dimension,
-                           _table_words(necklaces_by_order), threads, with_sums=True)
-    result, _ = _detect(tables, necklaces_by_order, order, alpha)
-    return result
-
-
-def _stats_from_table(necklaces, raw: np.ndarray, centered: np.ndarray, free: np.ndarray,
-                      mu_a, mu_b, level: float) -> list[WordStatistic]:
-    # Standard errors here are the plain Monte Carlo ones, std/sqrt(t) over
-    # per-sample traces.  The <W^2>-based proxy (see estimate_word_net) is
-    # not the sampling variance of the mean and can even vanish while the
-    # statistic fluctuates, which would break the hypothesis tests.
-    t = raw.shape[0]
-    ddof = 1 if t > 1 else 0
-    stats = []
-    for j, necklace in enumerate(necklaces):
-        v, cv = raw[:, j], centered[:, j]
-        estimate = float(v.mean())
-        se = float(v.std(ddof=ddof)) / math.sqrt(t)
-        centered_mean = float(cv.mean())
-        centered_se = float(cv.std(ddof=ddof)) / math.sqrt(t)
-        classical = float(classical_joint_moment(necklace.word, mu_a, mu_b))
-        _, p_classical = _two_sided_test(estimate - classical, se,
-                                         max(abs(estimate), abs(classical)))
-        _, p_free = _two_sided_test(centered_mean, centered_se, abs(centered_mean))
-        stats.append(WordStatistic(
-            word=necklace.word,
-            multiplicity=necklace.multiplicity,
-            estimate=estimate,
-            se=se,
-            classical_prediction=classical,
-            free_prediction=float(free[j]),
-            centered_estimate=centered_mean,
-            centered_se=centered_se,
-            p_value_classical=p_classical,
-            p_value_free=p_free,
-            flagged_classical=p_classical < level,
-            flagged_free=p_free < level,
-        ))
-    return stats
+    tables = _sample_words(samples.__getitem__, len(samples), samples[0].dimension, order,
+                           threads, with_sums=True)
+    return _detect(tables, order, alpha)[0]
 
 
 def localize_violations(samples, degree: int, alpha: float,
@@ -382,12 +420,9 @@ def localize_violations(samples, degree: int, alpha: float,
         raise ConfigError(f"need degree >= 1, got {degree}")
     if not samples:
         raise ConfigError("need samples")
-    _require_tables_fit(degree, len(samples))
-    necklaces_by_order = _necklaces_through(degree)
-    tables = sample_tables(samples.__getitem__, len(samples), samples[0].dimension,
-                           _table_words(necklaces_by_order), threads)
-    level = alpha / len(necklaces_by_order[degree])
-    return _word_statistics(necklaces_by_order, tables, level)[degree]
+    tables = _sample_words(samples.__getitem__, len(samples), samples[0].dimension, degree,
+                           threads)
+    return _WordScan(tables).rows(degree, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +706,16 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
     """Run the full sampling / testing / density pipeline for one ensemble."""
     config.validate()
     spec = config.ensemble
-    t, order = config.sample_count, config.order
-    necklaces_by_order = _necklaces_through(order)
-    tables = sample_tables(lambda i: sample_pair(spec, i), t, spec.dimension,
-                           _table_words(necklaces_by_order), config.threads,
-                           with_sums=True, seed=spec.seed,
-                           free_rotations=config.free_rotations,
+    order = config.order
+    tables = _sample_words(lambda i: sample_pair(spec, i), config.sample_count,
+                           spec.dimension, order, config.threads, with_sums=True,
+                           seed=spec.seed, free_rotations=config.free_rotations,
                            with_classical=config.include_classical)
-    degree_result, stats_by_order = _detect(tables, necklaces_by_order, order,
-                                            config.alpha)
-    free_est = estimate_moments(tables.free_pool, order)
-    classical_est = (estimate_moments(tables.classical_pool, order)
-                     if config.include_classical else None)
+    degree_result, scan = _detect(tables, order, config.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        free_est = estimate_moments(tables.free_pool, order)
+        classical_est = (estimate_moments(tables.classical_pool, order)
+                         if config.include_classical else None)
 
     rows = [replace(
         row,
@@ -691,6 +724,7 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
         sampled_classical=float(classical_est.values[row.order]) if classical_est else None,
         sampled_classical_se=float(classical_est.se[row.order]) if classical_est else None,
     ) for row in degree_result.rows]
+    _require_finite_stats(rows, lambda row: row.order)
 
     notes = ["field: real-symmetric"]
     degree = degree_result.degree
@@ -701,12 +735,7 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
     else:
         notes.append(f"first deviating moment order: {degree}"
                      f" (trigger: {degree_result.triggered_by})")
-        # reuse the scan's estimates; re-flag at the per-order family level
-        locus_level = config.alpha / len(stats_by_order[degree])
-        words = [replace(stat,
-                         flagged_classical=stat.p_value_classical < locus_level,
-                         flagged_free=stat.p_value_free < locus_level)
-                 for stat in stats_by_order[degree]]
+        words = scan.rows(degree, config.alpha)
         flagged = [w for w in words if w.flagged_free]
         if flagged:
             notes.append("words violating the free prediction: "
@@ -726,7 +755,8 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
     if not config.include_classical:
         notes.append("classical sampling disabled; f_classical omitted")
 
-    return build_report(config, rows, degree, words, densities, notes)
+    return FreenessReport(config=config.describe(), degree=degree, moments=tuple(rows),
+                          words=tuple(words), densities=densities, notes=tuple(notes))
 
 
 def _walk_sum_notes(spec: EnsembleSpec, flagged) -> list[str]:
@@ -792,7 +822,13 @@ def _density_section(config, degree, delta_mu, free_pool, sum_pool,
         f_classical = kde_density(classical_pool.ravel(), bandwidth=h0, grid=grid)
         section["f_classical"] = [float(v) for v in f_classical.values]
     if degree is not None and delta_mu is not None:
-        derivative = kde_derivative(flat_free, degree, bandwidth=hp, grid=grid)
+        # f^(p) scales as 1/h^(p+1), beyond double range for tiny spreads
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            derivative = kde_derivative(flat_free, degree, bandwidth=hp, grid=grid)
+        if not np.isfinite(derivative.values).all():
+            notes.append(f"order-{degree} derivative density is out of double range; "
+                         "f_derivative and f_corrected omitted")
+            return section
         corrected = edgeworth_corrected_density(f_free, derivative, delta_mu)
         section["f_corrected"] = [float(v) for v in corrected.values]
         section["f_derivative"] = [float(v) for v in derivative.values]
@@ -800,16 +836,3 @@ def _density_section(config, degree, delta_mu, free_pool, sum_pool,
         section["clipped_mass"] = corrected.clipped_mass
         notes.append(f"corrected density clipped mass: {corrected.clipped_mass:.3e}")
     return section
-
-
-def build_report(config: AnalysisConfig, rows, degree, words, densities,
-                 notes) -> FreenessReport:
-    """Assemble the serializable report from pipeline intermediates."""
-    return FreenessReport(
-        config=config.describe(),
-        degree=degree,
-        moments=tuple(rows),
-        words=tuple(words),
-        densities=densities,
-        notes=tuple(notes),
-    )

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceLimitError
+from .matrices import chain_adjacency
 from .words import Word
 
 DEFAULT_MAX_HOPS = 20
@@ -68,25 +69,22 @@ class LatticeModel:
     @classmethod
     def chain(cls, n: int, entry_moments, circulant: bool = True,
               max_hops: int = DEFAULT_MAX_HOPS) -> "LatticeModel":
+        """The n-site chain whose adjacency ``matrices.chain_adjacency`` samples as B.
+
+        Circulant chains are vertex-transitive (n = 2 is one edge, which its
+        swap maps onto itself), so their walk sums fix the start site.
+        """
         if n < 2:
             raise ValueError(f"a chain needs at least 2 sites, got {n}")
-        adj = np.zeros((n, n), dtype=np.int64)
-        for i in range(n - 1):
-            adj[i, i + 1] = adj[i + 1, i] = 1
-        wrap = circulant and n > 2
-        if wrap:
-            adj[0, n - 1] = adj[n - 1, 0] = 1
-        return cls(adj, tuple(entry_moments), translation_invariant=wrap,
-                   max_hops=max_hops)
+        return cls(chain_adjacency(n, circulant), tuple(entry_moments),
+                   translation_invariant=circulant, max_hops=max_hops)
 
     @property
     def size(self) -> int:
         return self.adjacency.shape[0]
 
     def is_open_chain(self) -> bool:
-        expected = LatticeModel.chain(self.size, self.entry_moments,
-                                      circulant=False).adjacency
-        return np.array_equal(self.adjacency, expected)
+        return np.array_equal(self.adjacency, chain_adjacency(self.size, circulant=False))
 
     def entry_moment(self, order: int):
         if order == 0:

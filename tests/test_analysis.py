@@ -620,7 +620,7 @@ def _mixed_pair_file(path, n=5, t=23, seed=61):
 def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
     # stacks of 1, 7 (ragged) and all t pairs give bit-identical raw tables
     from partialfree import matrices
-    from partialfree.analysis import _necklaces_through, _table_words
+    from partialfree.analysis import _table_words
     from partialfree.matrices import sample_tables, word_trace_table
 
     t = 23
@@ -632,7 +632,7 @@ def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
                 "gaussian-diagonal": EnsembleSpec.gaussian_diagonal(6, seed=63),
                 "tridiagonal": EnsembleSpec.tridiagonal_adjacency(8, seed=64)}[variant]
     n = spec.dimension
-    words = _table_words(_necklaces_through(6))
+    words = _table_words(6)
     tables = []
     for size in (1, 7, t):
         monkeypatch.setattr(matrices, "_CELL_BUDGET", size * n * n)
@@ -668,10 +668,11 @@ def _write_goe_pairs(path, n=5, t=32, seed=4):
 
 
 def test_reports_identical_across_thread_counts(tmp_path):
+    # n = 128 stacks hold 4 pairs, so threads = 2 really runs the pool
     path = tmp_path / "pairs.jsonl"
     _write_goe_pairs(path)
     configs = [
-        (EnsembleSpec.tridiagonal_adjacency(24, seed=5, circulant=True), 40, 6),
+        (EnsembleSpec.tridiagonal_adjacency(128, seed=5, circulant=True), 40, 6),
         (EnsembleSpec.from_file(str(path), seed=2), 32, 5),
     ]
     for spec, t, order in configs:
@@ -689,3 +690,72 @@ def test_tridiagonal_report_carries_walk_sum_note():
     assert report.degree == 8
     notes = [n for n in report.notes if n.startswith("exact walk-sum value")]
     assert notes == ["exact walk-sum value for ABABABAB: 2.0"]
+
+
+def test_thread_pool_runs_only_for_stacks_of_at_most_four_pairs(monkeypatch):
+    # small pairs run serially whatever --threads says; from n = 128 (four
+    # pairs per stack) the pool runs, with --threads capping its size
+    from partialfree import matrices
+    from partialfree.words import Word
+
+    made = []
+
+    class CountingPool(matrices.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(matrices, "ThreadPoolExecutor", CountingPool)
+    for n, count, threads, want in ((16, 40, 2, []), (64, 40, 8, []), (128, 40, 1, []),
+                                    (128, 40, 2, [2]), (128, 4, 8, [2])):
+        made.clear()
+        spec = EnsembleSpec.tridiagonal_adjacency(n, seed=1)
+        matrices.sample_tables(lambda i: sample_pair(spec, i), count, n,
+                               [Word.empty(), Word.from_string("AB")], threads)
+        assert made == want, (n, count, threads)
+
+
+def test_word_rows_are_built_for_the_reported_order_only(monkeypatch):
+    from partialfree import analysis
+
+    built, classical = [], []
+    row, prediction = analysis.WordStatistic, analysis.classical_joint_moment
+    monkeypatch.setattr(analysis, "WordStatistic",
+                        lambda **kw: built.append(kw["word"]) or row(**kw))
+    monkeypatch.setattr(analysis, "classical_joint_moment",
+                        lambda word, *mu: classical.append(word) or prediction(word, *mu))
+    report = run_analysis(AnalysisConfig(ensemble=EnsembleSpec.goe(6, seed=0),
+                                         sample_count=40, order=6, alpha=1e-9))
+    assert report.degree is None
+    assert built == [] and classical == []
+
+    spec = EnsembleSpec.tridiagonal_adjacency(24, seed=3, circulant=True)
+    report = run_analysis(AnalysisConfig(ensemble=spec, sample_count=40, order=8,
+                                         alpha=1e-3))
+    assert report.degree == 8
+    assert len(built) == 36 and {w.length for w in built} == {8}
+    assert classical == built == [w.word for w in report.words]
+
+
+def test_localization_matches_the_report_rows(diagonal_report):
+    # the report scans through K = 6, localization tables stop at the degree
+    from dataclasses import fields
+
+    report, config = diagonal_report
+    samples = [sample_pair(config.ensemble, i) for i in range(config.sample_count)]
+    stats = localize_violations(samples, report.degree, config.alpha)
+    assert [s.word for s in stats] == [w.word for w in report.words]
+    for got, want in zip(stats, report.words):
+        for field in fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, float):
+                assert math.isclose(a, b, rel_tol=1e-12), (want.word, field.name)
+            else:
+                assert a == b, (want.word, field.name)
+
+
+def test_localization_at_degree_one():
+    # no order-2 word is localized, but its pure moments set the noise scale
+    stats = localize_violations(_diagonal_samples(t=40, seed=5), 1, 0.01)
+    assert [s.word.to_string() for s in stats] == ["A", "B"]
+    assert not any(s.flagged_free for s in stats)

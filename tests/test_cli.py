@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partialfree.cli import main
@@ -141,7 +141,7 @@ def test_analyze_point_mass_pairs_end_in_a_report(tmp_path, capsys, a, b):
     code, out, _ = run_cli(capsys, "analyze", "--input", str(path), "--threads", "2")
     assert code == 0
     payload = json.loads(out, parse_constant=pytest.fail)
-    assert "degree" in payload
+    assert payload["degree"] is None
     assert payload["densities"] is None
     assert any("no spread at double precision" in note for note in payload["notes"])
 
@@ -161,15 +161,23 @@ def _pair_records(kind, n, t, scale, seed):
             a, b = fixed
         elif kind == "commuting":
             a, b = (np.diag(d) for d in rng.standard_normal((2, n)))
+        elif kind == "cancelling":
+            # A + B drops the 1e60 entry, the pure moments keep it
+            d = rng.standard_normal(n)
+            a, b = np.diag(d), np.diag(d)
+            a[0, 0], b[0, 0] = 1e60, -1e60
         else:  # rank-1
             a, b = (np.outer(v, v) for v in rng.standard_normal((2, n)))
         yield json.dumps({"A": (scale * a).tolist(), "B": (scale * b).tolist()})
 
 
-@given(kind=st.sampled_from(["goe", "deterministic", "commuting", "rank-1"]),
+@given(kind=st.sampled_from(["goe", "deterministic", "commuting", "cancelling", "rank-1"]),
        n=st.integers(1, 6), t=st.integers(30, 40),
        scale=st.sampled_from([0.0, 1e-300, 1.0, 1e150]), seed=st.integers(0, 2**16))
 @settings(derandomize=True, max_examples=40, deadline=None)
+# overflowing order-2K statistics; a degree whose f^(p) is beyond double range
+@example(kind="cancelling", n=3, t=35, scale=1.0, seed=0)
+@example(kind="deterministic", n=3, t=35, scale=1e-300, seed=0)
 def test_analyze_generated_files_end_in_a_report_or_a_clean_exit(kind, n, t, scale, seed):
     # every valid file ends in strict JSON or a documented input/resource
     # exit; exit 2 (configuration) or a traceback would be a defect
@@ -182,6 +190,70 @@ def test_analyze_generated_files_end_in_a_report_or_a_clean_exit(kind, n, t, sca
     assert code in (0, 3, 4), err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=pytest.fail)
+
+
+def _write_records(path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        for a, b in records:
+            fh.write(json.dumps({"A": a.tolist(), "B": b.tolist()}) + "\n")
+
+
+def _goe_pair(rng, n):
+    a, b = (g + g.T for g in rng.standard_normal((2, n, n)))
+    return a / np.sqrt(2 * n), b / np.sqrt(2 * n)
+
+
+@pytest.mark.parametrize("kind, n, k", [("commuting", 3, "6"), ("goe", 16, "10")])
+def test_scan_is_invariant_under_rescaling_the_pairs(tmp_path, capsys, kind, n, k):
+    # every order-k statistic and its noise floor scale as s^k, so powers of
+    # two leave every test bit for bit as it was
+    rng = np.random.default_rng(71)
+    records = [(np.diag(rng.standard_normal(n)), np.diag(rng.standard_normal(n)))
+               if kind == "commuting" else _goe_pair(rng, n) for _ in range(40)]
+
+    def scan(scale):
+        path = tmp_path / f"pairs{scale}.jsonl"
+        _write_records(path, [(scale * a, scale * b) for a, b in records])
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--k", k,
+                                 "--alpha", "1e-9" if kind == "goe" else "0.05",
+                                 "--threads", "1")
+        assert code == 0, err
+        report = json.loads(out)
+        return (report["degree"], [note for note in report["notes"] if "trigger" in note],
+                [(m["z"], m["p_value"]) for m in report["moments"]],
+                [(w["word"], w["p_value_free"], w["p_value_classical"], w["flagged_free"])
+                 for w in report["words"]])
+
+    unit = scan(1.0)
+    if kind == "commuting":
+        assert unit[0] == 4
+    for e in (-20, -10, 10):
+        assert scan(2.0**e) == unit, e
+
+
+@pytest.mark.parametrize("kind", ["cancelling", "1.5e308"])
+def test_non_finite_statistics_end_in_exit_3(tmp_path, capsys, kind):
+    # Tier-1 turns RuntimeWarnings into errors, so a warning from the
+    # sampling pass or the statistics would end in a traceback here
+    rng = np.random.default_rng(73)
+    records = []
+    for _ in range(35 if kind == "cancelling" else 40):
+        if kind == "cancelling":
+            # A + B cancels, but the jackknife of the order-2K moments overflows
+            g = rng.standard_normal(2)
+            records.append((np.diag([1e60, *g]), np.diag([-1e60, *g])))
+        else:
+            a, b = _goe_pair(rng, 3)
+            a[0, 0] = b[0, 0] = 1.5e308
+            records.append((a, b))
+    path = tmp_path / "pairs.jsonl"
+    _write_records(path, records)
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--k", "4",
+                             "--threads", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: non-finite") and "at order" in err
+    assert err.count("\n") == 1
 
 
 def test_pathsum_bad_word_is_config_error(capsys):

@@ -93,7 +93,7 @@ def test_odd_diagonal_power_vanishes_with_centered_entries():
 
 def test_matches_site_sum_oracle_exhaustively():
     # every word of length <= 6 on small chains, both topologies, exact rationals
-    for n in (4, 7):
+    for n in (2, 3, 4, 7):
         for circulant in (True, False):
             model = chain(n, circulant)
             for length in range(1, 7):
@@ -101,6 +101,16 @@ def test_matches_site_sum_oracle_exhaustively():
                     got = exact_word_net(necklace.word, model)
                     want = site_sum_word_net(necklace.word, model.adjacency, GAUSS8)
                     assert got == want, (n, circulant, necklace.word.to_string())
+
+
+def test_chain_model_is_the_sampled_chain():
+    # walk sums describe the B that the tridiagonal-adjacency ensemble samples
+    for n in (2, 3, 8):
+        for circulant in (True, False):
+            spec = EnsembleSpec.tridiagonal_adjacency(n, seed=0, circulant=circulant)
+            model = chain(n, circulant)
+            assert np.array_equal(model.adjacency, sample_pair(spec, 0).b)
+            assert model.is_open_chain() == (n == 2 or not circulant)
 
 
 def test_non_gaussian_moments():
