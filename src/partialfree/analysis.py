@@ -30,11 +30,11 @@ raw table through one linear inclusion-exclusion map
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ResourceLimitError
+from .errors import ConfigError, ResourceLimitError
 from .matrices import (
     _CELL_BUDGET,
     EnsembleSpec,
@@ -59,18 +59,23 @@ from .words import Word, necklace_count, word_expansion
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-_EXACT_ATOL = 1e-9
+# noise floors, relative to the scale of a word and, for the rounding of a
+# moment, to the size of the moment (a few thousand ulps)
+_EXACT_RTOL = 1e-9
+_ROUNDING_RTOL = 1e-12
+
+# the statistics stage: every statistic bound for the report is checked
+# finite, so overflow ends in an InputError instead of a warning
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
-def _two_sided_test(diff: float, se: float, scale: float) -> tuple[float, float]:
-    """z statistic and p-value; differences within 1e-9 * ``scale`` never reject.
+def _two_sided_test(diff: float, se: float, floor: float) -> tuple[float, float]:
+    """z statistic and p-value; differences within ``floor`` never reject.
 
-    ``scale`` is the order's noise scale (``_noise_scales``), so the floor
-    moves with the units of the matrices.  With a zero standard error
-    (deterministic ensembles) the test degrades to an exact comparison at
-    the same tolerance.
+    With a zero standard error (deterministic ensembles) the test degrades
+    to an exact comparison at the same tolerance.
     """
-    if abs(diff) <= _EXACT_ATOL * scale:
+    if abs(diff) <= floor:
         return 0.0, 1.0
     if se > 0.0:
         z = diff / se
@@ -78,15 +83,31 @@ def _two_sided_test(diff: float, se: float, scale: float) -> tuple[float, float]
     return math.inf if diff > 0 else -math.inf, 0.0
 
 
-def _noise_scales(mu_a, mu_b, order: int) -> np.ndarray:
-    """(mu_2(A) + mu_2(B))^(k/2) for k = 0..order: the order-k tests' noise scale.
+def _word_floors(words, mu_a, mu_b) -> np.ndarray:
+    """1e-9 mu_2(A)^(a/2) mu_2(B)^(b/2) per word with a letters A and b letters B.
 
-    Like every order-k statistic it is homogeneous of degree k in the
-    matrices, so rescaling all pairs leaves every test unchanged.  All-zero
-    pairs give a zero scale, where only an exact zero difference passes.
+    Like the word's statistics it is homogeneous of degree a in A and b in
+    B, so rescaling either matrix leaves every word test unchanged.
     """
-    with np.errstate(over="ignore"):
-        return (np.float64(mu_a[2]) + mu_b[2]) ** (np.arange(order + 1) / 2)
+    counts = np.array([[sum(e for x, e in w.blocks if x == letter) for letter in (0, 1)]
+                       for w in words])
+    return _EXACT_RTOL * np.sqrt(mu_a[2]) ** counts[:, 0] * np.sqrt(mu_b[2]) ** counts[:, 1]
+
+
+def _moment_floors(mu_a, mu_b, mu_s, order: int) -> np.ndarray:
+    """Noise floor of the order-k moment difference, k = 0..order.
+
+    The difference sums the order-k words.  The pure ones, A^k and B^k,
+    cancel in expectation and leave rounding only; the mixed ones carry the
+    signal, each at its own scale (``_word_floors``).  The floor is the
+    largest mixed word's plus 1e-12 of sqrt(mu_2k(A + B)), which bounds the
+    mean |eigenvalue|^k that the moments' rounding scales with, however
+    spiky the spectrum.  It vanishes only for all-zero pairs.
+    """
+    r_a, r_b = np.sqrt(mu_a[2]), np.sqrt(mu_b[2])
+    return np.array([
+        _EXACT_RTOL * max((r_a ** a * r_b ** (k - a) for a in range(1, k)), default=0.0)
+        + _ROUNDING_RTOL * np.sqrt(mu_s[2 * k]) for k in range(order + 1)])
 
 
 @dataclass(frozen=True)
@@ -220,10 +241,12 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
         spread = ((loo - loo.mean(axis=2, keepdims=True)) ** 2).sum(axis=2)
         diff_se, pred_se = np.sqrt((t - 1) / t * spread)
 
-    scale = _noise_scales(rep_a[:, 0], rep_b[:, 0], order)
+    floors = _moment_floors(rep_a[:, 0], rep_b[:, 0], m_s.mean(axis=0), order)
+    require_finite(np.stack([summed.values, summed.se, predicted, pred_se, diffs, diff_se,
+                             floors]), "moment statistic", range(order + 1))
     rows = []
     for k in range(1, order + 1):
-        z, p_value = _two_sided_test(float(diffs[k]), float(diff_se[k]), scale[k])
+        z, p_value = _two_sided_test(float(diffs[k]), float(diff_se[k]), floors[k])
         rows.append(MomentRow(
             order=k,
             estimate=float(summed.values[k]),
@@ -283,19 +306,6 @@ def _column_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows.mean(axis=1), rows.std(axis=1, ddof=1 if t > 1 else 0) / math.sqrt(t)
 
 
-def _require_finite_stats(records, order_of) -> None:
-    """InputError naming the first non-finite statistic of the records, and its order.
-
-    Only a moment row's z may be infinite (an exact difference with zero SE).
-    """
-    for record in records:
-        for field in fields(record):
-            value = getattr(record, field.name)
-            if isinstance(value, float) and field.name != "z" and not math.isfinite(value):
-                raise InputError(f"non-finite {field.name} at order {order_of(record)}: "
-                                 "statistics too large for double precision")
-
-
 class _WordScan:
     """Per column of a raw trace table: the centered mean, its SE and the free p-value.
 
@@ -304,17 +314,18 @@ class _WordScan:
     only the p-values; ``rows`` builds the report rows of one order.
     """
 
-    def __init__(self, tables: SampleTables):
+    def __init__(self, tables: SampleTables, mu):
         self.tables = tables
         self.lengths = [w.length for w in tables.words]
-        self.mu = [m.mean(axis=0) for m in _pure_moments(tables, self.lengths[-1])]
-        self.scale = _noise_scales(*self.mu, self.lengths[-1])
-        self.expansion = centering_map(tables.words, *self.mu)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, se = _column_stats(tables.traces @ self.expansion)
+        self.mu = mu
+        self.floors = _word_floors(tables.words, *mu)
+        self.expansion = centering_map(tables.words, *mu)
+        mean, se = _column_stats(tables.traces @ self.expansion)
+        require_finite(np.stack([mean, se, self.floors]), "centered word statistic",
+                       self.lengths)
         self.mean, self.se = mean.tolist(), se.tolist()
-        self.p_free = [_two_sided_test(m, s, self.scale[k])[1]
-                       for m, s, k in zip(self.mean, self.se, self.lengths)]
+        self.p_free = [_two_sided_test(m, s, f)[1]
+                       for m, s, f in zip(self.mean, self.se, self.floors)]
 
     def flagged(self, order: int, level: float) -> list[str]:
         """The words of ``order`` whose free test rejects at ``level``."""
@@ -325,30 +336,32 @@ class _WordScan:
         """Report rows of the words of ``order``, flagged at alpha / (their count)."""
         columns = [c for c, k in enumerate(self.lengths) if k == order]
         level = alpha / len(columns)
+        words = [self.tables.words[c] for c in columns]
+        estimates, ses = _column_stats(self.tables.traces[:, columns])
+        classical = np.array([classical_joint_moment(w, *self.mu) for w in words], dtype=float)
+        # the free predictions through this order solve the centering map
+        free = free_word_moments(self.expansion[:columns[-1] + 1, :columns[-1] + 1])[columns]
+        require_finite(np.stack([estimates, ses, classical, free]), "word statistic",
+                       [order] * len(columns))
         rows = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            estimates, ses = _column_stats(self.tables.traces[:, columns])
-            # the free predictions through this order solve the centering map
-            free = free_word_moments(self.expansion[:columns[-1] + 1, :columns[-1] + 1])
-            for c, estimate, se in zip(columns, estimates.tolist(), ses.tolist()):
-                word = self.tables.words[c]
-                classical = float(classical_joint_moment(word, *self.mu))
-                _, p_classical = _two_sided_test(estimate - classical, se, self.scale[order])
-                rows.append(WordStatistic(
-                    word=word,
-                    multiplicity=word.multiplicity(),
-                    estimate=estimate,
-                    se=se,
-                    classical_prediction=classical,
-                    free_prediction=float(free[c]),
-                    centered_estimate=self.mean[c],
-                    centered_se=self.se[c],
-                    p_value_classical=p_classical,
-                    p_value_free=self.p_free[c],
-                    flagged_classical=p_classical < level,
-                    flagged_free=self.p_free[c] < level,
-                ))
-        _require_finite_stats(rows, lambda stat: order)
+        for c, word, estimate, se, prediction, free_prediction in zip(
+                columns, words, estimates.tolist(), ses.tolist(), classical.tolist(),
+                free.tolist()):
+            _, p_classical = _two_sided_test(estimate - prediction, se, self.floors[c])
+            rows.append(WordStatistic(
+                word=word,
+                multiplicity=word.multiplicity(),
+                estimate=estimate,
+                se=se,
+                classical_prediction=prediction,
+                free_prediction=free_prediction,
+                centered_estimate=self.mean[c],
+                centered_se=self.se[c],
+                p_value_classical=p_classical,
+                p_value_free=self.p_free[c],
+                flagged_classical=p_classical < level,
+                flagged_free=self.p_free[c] < level,
+            ))
         return rows
 
 
@@ -369,12 +382,11 @@ def _detect(tables: SampleTables, order: int, alpha: float):
     """
     moment_level = alpha / (2 * order)
     word_level = alpha / (2 * _word_family_size(order))
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_s = per_sample_moments(tables.sums, 2 * order)
-        require_finite(m_s, "moment of A + B", range(2 * order + 1))
-        rows = _moment_stage(*_pure_moments(tables, order), m_s, order, moment_level)
-    _require_finite_stats(rows, lambda row: row.order)
-    scan = _WordScan(tables)
+    m_s = per_sample_moments(tables.sums, 2 * order)
+    require_finite(m_s, "moment of A + B", range(2 * order + 1))
+    pure = _pure_moments(tables, order)
+    rows = _moment_stage(*pure, m_s, order, moment_level)
+    scan = _WordScan(tables, [m.mean(axis=0) for m in pure])
     degree = None
     triggered_by = None
     triggering: tuple[str, ...] = ()
@@ -404,7 +416,8 @@ def detect_degree(samples, order: int, alpha: float, threads: int = 1) -> Degree
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     tables = _sample_words(samples.__getitem__, len(samples), samples[0].dimension, order,
                            threads, with_sums=True)
-    return _detect(tables, order, alpha)[0]
+    with np.errstate(**_QUIET):
+        return _detect(tables, order, alpha)[0]
 
 
 def localize_violations(samples, degree: int, alpha: float,
@@ -422,7 +435,9 @@ def localize_violations(samples, degree: int, alpha: float,
         raise ConfigError("need samples")
     tables = _sample_words(samples.__getitem__, len(samples), samples[0].dimension, degree,
                            threads)
-    return _WordScan(tables).rows(degree, alpha)
+    mu = [m.mean(axis=0) for m in _pure_moments(tables, tables.words[-1].length)]
+    with np.errstate(**_QUIET):
+        return _WordScan(tables, mu).rows(degree, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +726,17 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
                            spec.dimension, order, config.threads, with_sums=True,
                            seed=spec.seed, free_rotations=config.free_rotations,
                            with_classical=config.include_classical)
-    degree_result, scan = _detect(tables, order, config.alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
+        degree_result, scan = _detect(tables, order, config.alpha)
         free_est = estimate_moments(tables.free_pool, order)
         classical_est = (estimate_moments(tables.classical_pool, order)
                          if config.include_classical else None)
+        for what, est in (("rotated", free_est), ("permuted", classical_est)):
+            if est is not None:
+                require_finite(np.stack([est.values, est.se]), f"{what}-sum moment",
+                               range(order + 1))
+        degree = degree_result.degree
+        words = scan.rows(degree, config.alpha) if degree is not None else []
 
     rows = [replace(
         row,
@@ -724,18 +745,14 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
         sampled_classical=float(classical_est.values[row.order]) if classical_est else None,
         sampled_classical_se=float(classical_est.se[row.order]) if classical_est else None,
     ) for row in degree_result.rows]
-    _require_finite_stats(rows, lambda row: row.order)
 
     notes = ["field: real-symmetric"]
-    degree = degree_result.degree
-    words: list[WordStatistic] = []
     delta_mu = None
     if degree is None:
         notes.append(f"no deviation from the free prediction detected up to order {order}")
     else:
         notes.append(f"first deviating moment order: {degree}"
                      f" (trigger: {degree_result.triggered_by})")
-        words = scan.rows(degree, config.alpha)
         flagged = [w for w in words if w.flagged_free]
         if flagged:
             notes.append("words violating the free prediction: "

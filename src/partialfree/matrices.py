@@ -418,18 +418,6 @@ def estimate_moments(spectra, order: int) -> MomentEstimate:
 # small matrices share one numpy call per step, n = 200 goes pair by pair.
 _CELL_BUDGET = 1 << 16
 
-# The thread pool runs only when a stack holds at most this many pairs
-# (n >= 128).  Each numpy call on such a stack is long enough to run beside
-# another thread's; smaller pairs spend their time in Python under the GIL.
-# The example19 pass (t = 40, K = 8) on a 2-vCPU x86-64 host with
-# OPENBLAS_NUM_THREADS=1, two threads against one: 0.56 against 0.68 s at
-# n = 200, 0.18 against 0.32 s at n = 128, 0.076 s either way at n = 64.
-_POOL_STACK_LIMIT = 4
-
-
-def _stack_size(dimension: int) -> int:
-    return max(1, _CELL_BUDGET // (dimension * dimension))
-
 
 def _stack_groups(draw, indices: range, dimension: int):
     """Draw the pairs of ``indices`` as stacks, split by which letters are diagonal.
@@ -441,7 +429,7 @@ def _stack_groups(draw, indices: range, dimension: int):
     Grouping by that pattern keeps each pair's arithmetic a function of the
     pair alone, however the indices are cut into stacks or threads.
     """
-    size = _stack_size(dimension)
+    size = max(1, _CELL_BUDGET // (dimension * dimension))
     for start in range(indices.start, indices.stop, size):
         run = range(start, min(start + size, indices.stop))
         pairs = [draw(i) for i in run]
@@ -627,13 +615,12 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     if ``with_classical``, its permuted sum spectrum; the rotations and
     permutations come from the per-index streams of ``seed``.  Pairs are
     drawn one index at a time but processed as stacks (``_stack_groups``),
-    one numpy call per step for the whole stack.  When a stack holds at
-    most _POOL_STACK_LIMIT pairs, contiguous chunks of indices run on a pool
-    of up to ``threads`` threads (at least two indices each), and the first
-    failing chunk in index order raises, so the error is the one a serial
-    loop would meet first; smaller pairs always run serially.  Every
-    quantity is a function of the index alone, so the tables depend neither
-    on ``threads`` nor on how the stacks are cut.
+    one numpy call per step for the whole stack.  With ``threads`` > 1 (and
+    at least two indices per thread) contiguous chunks of indices run on a
+    thread pool, and the first failing chunk in index order raises, so the
+    error is the one a serial loop would meet first.  Every quantity is a
+    function of the index alone, so the tables depend neither on
+    ``threads`` nor on how the stacks are cut.
     """
     words = list(words)
     plan = WordTracePlan(words)
@@ -662,10 +649,9 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                     eb = np.take_along_axis(powers.b.eigenvalues(), perms, axis=1)
                     classical_pool[at] = np.sort(powers.a.eigenvalues() + eb, axis=1)
 
-    workers = min(threads, count // 2) if _stack_size(dimension) <= _POOL_STACK_LIMIT else 1
-    if workers > 1:
-        bounds = [count * j // workers for j in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if threads > 1 and count >= 2 * threads:
+        bounds = [count * j // threads for j in range(threads + 1)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_chunk, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]))
     else:
         run_chunk(range(count))

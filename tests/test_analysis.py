@@ -668,11 +668,10 @@ def _write_goe_pairs(path, n=5, t=32, seed=4):
 
 
 def test_reports_identical_across_thread_counts(tmp_path):
-    # n = 128 stacks hold 4 pairs, so threads = 2 really runs the pool
     path = tmp_path / "pairs.jsonl"
     _write_goe_pairs(path)
     configs = [
-        (EnsembleSpec.tridiagonal_adjacency(128, seed=5, circulant=True), 40, 6),
+        (EnsembleSpec.tridiagonal_adjacency(24, seed=5, circulant=True), 40, 6),
         (EnsembleSpec.from_file(str(path), seed=2), 32, 5),
     ]
     for spec, t, order in configs:
@@ -690,29 +689,6 @@ def test_tridiagonal_report_carries_walk_sum_note():
     assert report.degree == 8
     notes = [n for n in report.notes if n.startswith("exact walk-sum value")]
     assert notes == ["exact walk-sum value for ABABABAB: 2.0"]
-
-
-def test_thread_pool_runs_only_for_stacks_of_at_most_four_pairs(monkeypatch):
-    # small pairs run serially whatever --threads says; from n = 128 (four
-    # pairs per stack) the pool runs, with --threads capping its size
-    from partialfree import matrices
-    from partialfree.words import Word
-
-    made = []
-
-    class CountingPool(matrices.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            made.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(matrices, "ThreadPoolExecutor", CountingPool)
-    for n, count, threads, want in ((16, 40, 2, []), (64, 40, 8, []), (128, 40, 1, []),
-                                    (128, 40, 2, [2]), (128, 4, 8, [2])):
-        made.clear()
-        spec = EnsembleSpec.tridiagonal_adjacency(n, seed=1)
-        matrices.sample_tables(lambda i: sample_pair(spec, i), count, n,
-                               [Word.empty(), Word.from_string("AB")], threads)
-        assert made == want, (n, count, threads)
 
 
 def test_word_rows_are_built_for_the_reported_order_only(monkeypatch):
@@ -759,3 +735,40 @@ def test_localization_at_degree_one():
     stats = localize_violations(_diagonal_samples(t=40, seed=5), 1, 0.01)
     assert [s.word.to_string() for s in stats] == ["A", "B"]
     assert not any(s.flagged_free for s in stats)
+
+
+@pytest.mark.parametrize("letter", [0, 1])
+@pytest.mark.parametrize("e", [-8, 8])
+def test_word_tests_are_invariant_under_rescaling_one_matrix(letter, e):
+    # a word with a letters A is homogeneous of degree a in A, its statistics
+    # and noise floor alike, so scaling one matrix by a power of two leaves
+    # every word test bit for bit; the example19 degree stays 8
+    from partialfree.matrices import MatrixPairSample
+
+    spec = EnsembleSpec.tridiagonal_adjacency(24, seed=3, circulant=True)
+    samples = [sample_pair(spec, i) for i in range(40)]
+    scaled = [MatrixPairSample(*(m * 2.0**e if j == letter else m
+                                 for j, m in enumerate((s.a, s.b)))) for s in samples]
+
+    def scan(pairs):
+        result = detect_degree(pairs, 8, 1e-3)
+        return (result.degree, result.triggered_by, result.triggering_words,
+                [(w.word, w.p_value_free, w.p_value_classical, w.flagged_free,
+                  w.flagged_classical) for w in localize_violations(pairs, 8, 1e-3)])
+
+    unit = scan(samples)
+    assert unit[:3] == (8, "word", ("ABABABAB",))
+    assert scan(scaled) == unit
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_spiky_deterministic_pairs_free_with_zero_or_identity(n):
+    # rank-1 A is free from B = 0 and from B = I; with zero SEs the moment
+    # test is an exact comparison, whose rounding follows the spectrum's
+    # mean |eigenvalue|^k, far above mu_2(A)^(k/2) for a spike
+    from partialfree.matrices import MatrixPairSample
+
+    v = np.random.default_rng(3).standard_normal(n)
+    a = np.outer(v, v)
+    for b in (np.zeros((n, n)), np.eye(n)):
+        assert detect_degree([MatrixPairSample(a, b)] * 40, 10, 0.05).degree is None
