@@ -444,6 +444,26 @@ def localize_violations(samples, degree: int, alpha: float,
 # density estimation
 
 
+def _quartiles(values: np.ndarray) -> tuple[float, float]:
+    """The 75th and 25th percentiles as ``np.percentile`` gives them, bit for bit.
+
+    numpy's linear rule puts quantile q at index (n - 1) q, between order
+    statistics a and b at fraction t, and takes a + (b - a) t below t = 0.5
+    and b - (b - a) (1 - t) from there, with the same array operations (so
+    the same floating-point warnings) as here.  One partition finds a and b;
+    unlike ``np.percentile`` this does not import numpy.ma.  NaN is not
+    propagated.
+    """
+    spots = (values.size - 1) * np.array([0.75, 0.25])
+    lows = spots.astype(np.intp)
+    ordered = np.partition(values, np.concatenate([lows, lows + 1]))
+    a, b, t = ordered[lows], ordered[lows + 1], spots - lows
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return float(out[0]), float(out[1])
+
+
 def silverman_bandwidth(values, derivative_order: int = 0) -> float:
     """Rule-of-thumb Gaussian-kernel bandwidth, generalized to derivatives.
 
@@ -462,8 +482,8 @@ def silverman_bandwidth(values, derivative_order: int = 0) -> float:
     _, e = np.frexp(np.abs(values).max())
     unit = np.ldexp(values, -e)
     std = float(unit.std())
-    q75, q25 = np.percentile(unit, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    q75, q25 = _quartiles(unit)
+    iqr = q75 - q25
     scale = math.ldexp(min(std, iqr / 1.34) if iqr > 0 else std, int(e))
     if scale <= 0:
         raise ValueError("zero-variance sample: density estimate is degenerate")

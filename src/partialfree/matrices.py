@@ -398,15 +398,22 @@ def per_sample_moments(eigenvalues: np.ndarray, order: int) -> np.ndarray:
 
 
 def estimate_moments(spectra, order: int) -> MomentEstimate:
-    """Spectral moments mu_0..mu_order averaged over samples, with SEs."""
+    """Spectral moments mu_0..mu_order averaged over samples, with SEs.
+
+    ``spectra`` is a (t, N) array, one spectrum per row, or a sequence of
+    spectra (``SpectrumSample`` or 1-D arrays).
+    """
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
     if len(spectra) == 0:
         raise ValueError("need at least one spectrum sample")
-    eigs = np.stack([
-        s.eigenvalues if isinstance(s, SpectrumSample) else np.asarray(s, dtype=float)
-        for s in spectra
-    ])
+    if isinstance(spectra, np.ndarray) and spectra.ndim == 2:
+        eigs = np.ascontiguousarray(spectra, dtype=float)
+    else:
+        eigs = np.stack([
+            s.eigenvalues if isinstance(s, SpectrumSample) else np.asarray(s, dtype=float)
+            for s in spectra
+        ])
     return MomentEstimate.from_table(per_sample_moments(eigs, 2 * order), order)
 
 
@@ -441,8 +448,10 @@ def _stack_groups(draw, indices: range, dimension: int):
         a = np.stack([p.a for p in pairs])
         b = np.stack([p.b for p in pairs])
         code = _diagonal_flags(a) + 2 * _diagonal_flags(b)
-        for value in np.unique(code):
+        for value in range(4):
             rows = np.flatnonzero(code == value)
+            if rows.size == 0:
+                continue
             diagonal = (bool(value & 1), bool(value & 2))
             if rows.size == len(pairs):
                 yield start + rows, a, b, diagonal

@@ -25,6 +25,7 @@ from math import asin, comb, isfinite, pi, sqrt
 
 import numpy as np
 
+from .matrices import _CELL_BUDGET
 from .series import _classical_recursion, _is_exact
 from .words import Word, canonical_blocks, word_expansion
 
@@ -269,6 +270,27 @@ def free_joint_moment(word: Word, mu_a, mu_b):
     return net(canonical_blocks(word.blocks))
 
 
+# Longest word whose doubled bit string fits an int64 (see _packed_keys).
+_MAX_PACKED_LENGTH = 31
+
+
+def _packed_keys(bits: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """(1 << L) | least rotation of each L-bit string, first symbol in the top bit.
+
+    With A = 0 and B = 1, integer order on strings of equal length is the
+    lexicographic order of their symbols, so the least rotation is the one
+    ``canonical_blocks`` picks.  Rotation r, the string read from its symbol
+    r, is the L-bit window of the doubled string that starts r bits below the
+    top; for r >= L the shift is clamped to 0, which gives the string itself.
+    """
+    doubled = (bits << length) | bits
+    full = (1 << length) - 1
+    best = bits
+    for r in range(1, int(length.max(initial=0))):
+        best = np.minimum(best, (doubled >> np.maximum(length - r, 0)) & full)
+    return (1 << length) | best
+
+
 def centering_map(words, mu_a, mu_b) -> np.ndarray:
     """Matrix taking raw normalized word traces to centered ones.
 
@@ -278,35 +300,74 @@ def centering_map(words, mu_a, mu_b) -> np.ndarray:
     (1 for the empty word), ``raw @ M`` holds tr(prod (X^e - mu_e(X)))/N.
     M has a unit diagonal and otherwise only entries M[i, j] with i < j,
     from words shorter than word j.
+
+    Column j sums the terms of ``_block_deletions`` of word j's canonical
+    blocks, in the same bit-mask order and with the same products.  The
+    terms are built as arrays, whole words at a time and at most
+    _CELL_BUDGET terms per batch: each remainder is packed into a bit-string
+    key (``_packed_keys``) and matched to its column by binary search.
     """
     words = list(words)
     if not words or words[0].blocks:
         raise ValueError("the word list must start with the empty word")
     if any(a.length > b.length for a, b in zip(words, words[1:])):
         raise ValueError("words must be ordered by length")
+    if words[-1].length > _MAX_PACKED_LENGTH:
+        raise ValueError(f"words longer than {_MAX_PACKED_LENGTH} letters are not supported")
     canonical = [canonical_blocks(w.blocks) for w in words]
-    column = {blocks: j for j, blocks in enumerate(canonical)}
-    if len(column) != len(words):
+    if any(letter > 1 for blocks in canonical for letter, _ in blocks):
+        raise ValueError("the centering map is defined for two-letter words")
+    keys = np.array([int("1" + "".join(str(letter) * e for letter, e in blocks), 2)
+                     for blocks in canonical])
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         raise ValueError("words must be distinct up to rotation")
     mus = tuple([float(v) for v in _check_moments(mu, name)]
                 for mu, name in ((mu_a, "mu_a"), (mu_b, "mu_b")))
 
-    def moment(letter, exponent):
-        return _pure_moment(mus, letter, exponent)
+    # per word, padded to the most blocks: exponent, bits (all ones for B)
+    # and -moment of each block; padding blocks have no letters
+    counts = np.array([len(blocks) for blocks in canonical])
+    flat = [block for blocks in canonical for block in blocks]
+    filled = np.arange(counts.max()) < counts[:, None]
+    letter, exponent = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+    exps = np.zeros(filled.shape, dtype=np.int64)
+    runs = np.zeros_like(exps)
+    scalars = np.ones(filled.shape)
+    exps[filled] = exponent
+    runs[filled] = letter * ((1 << exponent) - 1)
+    scalars[filled] = [-_pure_moment(mus, *block) for block in flat]
 
     out = np.zeros((len(words), len(words)))
-    rest_column: dict[tuple, int] = {}
-    for j, blocks in enumerate(canonical):
-        for rest, coefficient in _block_deletions(blocks, moment):
-            i = rest_column.get(rest)
-            if i is None:
-                key = canonical_blocks(rest)
-                i = rest_column[rest] = column.get(key)
-                if i is None:
-                    raise ValueError(
-                        f"word list lacks {Word(key).to_string() or '<empty>'}, "
-                        f"a remainder of {Word(blocks).to_string()}")
-            out[i, j] += coefficient
+    sizes = 1 << counts
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    j = 0
+    while j < len(words):
+        stop = max(j + 1, int(np.searchsorted(ends, starts[j] + _CELL_BUDGET, side="right")))
+        word = np.repeat(np.arange(j, stop), sizes[j:stop])
+        mask = np.arange(starts[j], ends[stop - 1]) - starts[word]
+        bits = np.zeros(word.size, dtype=np.int64)
+        length = np.zeros_like(bits)
+        coefficient = np.ones(word.size)
+        for i in range(counts[j:stop].max()):
+            gone = ((mask >> i) & 1).astype(bool)
+            kept = np.where(gone, 0, exps[word, i])
+            bits = (bits << kept) | np.where(gone, 0, runs[word, i])
+            length += kept
+            coefficient *= np.where(gone, scalars[word, i], 1.0)
+        rest = _packed_keys(bits, length)
+        at = np.minimum(np.searchsorted(sorted_keys, rest), len(words) - 1)
+        missing = sorted_keys[at] != rest
+        if missing.any():
+            first = int(np.argmax(missing))
+            lacking = format(int(rest[first]), "b")[1:].translate(str.maketrans("01", "AB"))
+            raise ValueError(f"word list lacks {lacking}, "
+                             f"a remainder of {Word(canonical[word[first]]).to_string()}")
+        # terms run in (word, bit mask) order, so each cell sums in that order
+        np.add.at(out, (order[at], word), coefficient)
+        j = stop
     return out
 
 

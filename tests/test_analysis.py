@@ -14,6 +14,7 @@ from partialfree.analysis import (
     gram_charlier_coefficients,
     kde_density,
     kde_derivative,
+    _quartiles,
     ks_statistic,
     localize_violations,
     run_analysis,
@@ -51,6 +52,49 @@ def test_silverman_bandwidth_is_exact_under_power_of_two_scaling():
     for r in (0, 4):
         tiny = silverman_bandwidth(sample * 2.0**-1000, r)
         assert tiny == silverman_bandwidth(sample, r) * 2.0**-1000
+
+
+def _quartile_samples():
+    rng = np.random.default_rng(5)
+    for n in [*range(2, 65), 1000, 4097, 64000]:
+        yield rng.standard_normal(n)
+        yield np.round(rng.standard_normal(n), 1)  # ties
+        yield rng.integers(-2, 3, n).astype(float)  # heavy ties
+        yield np.full(n, -0.375)
+        yield rng.standard_normal(n) * 1e-300
+
+
+def test_quartiles_match_numpy_percentile_bit_for_bit():
+    for sample in _quartile_samples():
+        want = np.percentile(sample, [75.0, 25.0])
+        got = _quartiles(sample)
+        assert np.array_equal(got, want), (sample.size, got, want)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("values, warning", [
+    ([0.0, 1.0, _NAN, 2.0], None),
+    ([_NAN, _NAN], None),
+    ([0.0, 1.0, _INF, 2.0], "invalid value encountered in subtract"),
+    ([-_INF, 0.0, 1.0, 2.0], "invalid value encountered in subtract"),
+    ([-_INF, 0.0, 1.0, _INF], "invalid value encountered in reduce"),
+    ([_INF, _NAN, 1.0], "invalid value encountered in subtract"),
+    ([_INF, _INF], "invalid value encountered in subtract"),
+])
+def test_silverman_bandwidth_on_non_finite_values(values, warning):
+    # NaN gives NaN quietly; an infinity trips the variance's RuntimeWarning
+    # (an error under this suite's filters) and otherwise gives NaN
+    for r in (0, 2):
+        if warning is None:
+            assert math.isnan(silverman_bandwidth(values, r))
+        else:
+            with pytest.raises(RuntimeWarning, match=warning):
+                silverman_bandwidth(values, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert math.isnan(silverman_bandwidth(values, r))
 
 
 def test_kde_density_normalizes():

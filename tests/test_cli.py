@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -350,3 +353,35 @@ def test_help_documents_flags(capsys):
     for flag in ("--n", "--t", "--k", "--alpha", "--seed", "--threads",
                  "--format", "--output", "--no-exact-sum", "--no-classical"):
         assert flag in out
+
+
+_NO_MASKED_ARRAYS = """
+import json, sys
+import numpy as np
+from partialfree.cli import main
+
+path, out = sys.argv[1], sys.argv[2]
+rng = np.random.default_rng(5)
+with open(path, "w", encoding="utf-8") as fh:
+    for _ in range(30):
+        a, b = ((g + g.T) / np.sqrt(12) for g in rng.standard_normal((2, 6, 6)))
+        fh.write(json.dumps({"A": a.tolist(), "B": b.tolist()}) + "\\n")
+for argv in (["analyze", "--input", path, "--k", "6", "--threads", "1"],
+             ["demo", "example19", "--n", "24", "--t", "40"],
+             ["demo", "arcsine", "--t", "400"]):
+    assert main(argv + ["--output", out]) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+
+
+def test_no_run_imports_numpy_ma(tmp_path):
+    # numpy.ma costs a fresh process about 10 ms to import and no run uses
+    # it; a subprocess, because other tests import it into this one
+    import partialfree
+
+    src = str(Path(partialfree.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS, str(tmp_path / "pairs.jsonl"),
+         str(tmp_path / "report.json")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -224,6 +224,20 @@ def test_estimate_moments_rotation_pair():
     assert est.se[2] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_estimate_moments_takes_a_pool_as_it_is():
+    # a (t, N) array and the list of its rows give the same estimate bit for bit
+    pool = np.sort(np.random.default_rng(8).standard_normal((300, 7)), axis=1)
+    for order in (1, 4):
+        whole, rows = estimate_moments(pool, order), estimate_moments(list(pool), order)
+        samples = estimate_moments([SpectrumSample(r, "A") for r in pool], order)
+        for other in (rows, samples):
+            assert np.array_equal(whole.values, other.values)
+            assert np.array_equal(whole.se, other.se)
+            assert whole.count == other.count == 300
+    assert np.array_equal(estimate_moments(np.asfortranarray(pool), 3).values,
+                          estimate_moments(list(pool), 3).values)
+
+
 def test_free_sum_spectrum_basics():
     rng = np.random.default_rng(5)
     a = np.diag([1.0, 2.0, 5.0])

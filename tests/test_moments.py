@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partialfree import moments
 from partialfree.analysis import gram_charlier_coefficients
 from partialfree.moments import (
     AtomicMeasure,
@@ -336,25 +337,79 @@ def test_free_word_moments_match_exact_free_joint_moment():
         assert abs(value - float(want)) <= 1e-12 * max(1.0, abs(float(want))), word
 
 
+def _necklaces_through(order):
+    return [Word.empty()] + [n.word for k in range(1, order + 1) for n in word_expansion(k, 2)]
+
+
 def test_centering_map_matches_word_based_construction():
-    # the tuple-based construction equals one Word per block subset exactly,
-    # for every necklace through order 10
+    # the array-built map equals one Word per block subset exactly, for
+    # every necklace through order 12
     rng = np.random.default_rng(37)
-    mu_a = [1.0] + list(rng.uniform(-1.5, 1.5, size=10))
-    mu_b = [1.0] + list(rng.uniform(-1.5, 1.5, size=10))
-    words = [Word.empty()] + [n.word for k in range(1, 11) for n in word_expansion(k, 2)]
+    mu_a = [1.0] + list(rng.uniform(-1.5, 1.5, size=12))
+    mu_b = [1.0] + list(rng.uniform(-1.5, 1.5, size=12))
+    words = _necklaces_through(12)
     assert np.array_equal(centering_map(words, mu_a, mu_b),
                           centering_map_words(words, mu_a, mu_b))
+
+
+def test_centering_map_canonicalizes_rotated_words():
+    # words given in any rotation (BA, BBA, ...) build the same map as
+    # their least rotations, so their block subsets run in the same order
+    rng = np.random.default_rng(41)
+    mu_a = [1.0] + list(rng.uniform(-1.5, 1.5, size=6))
+    mu_b = [1.0] + list(rng.uniform(-1.5, 1.5, size=6))
+    words = _necklaces_through(6)
+    rotated = [Word(w.blocks[1:] + w.blocks[:1]) for w in words]
+    assert ([w.to_string() for w in rotated[:10]]
+            == ["", "A", "B", "AA", "BA", "BB", "AAA", "BAA", "BBA", "BBB"])
+    assert sum(r != w for r, w in zip(rotated, words)) > len(words) // 2
+    got = centering_map(rotated, mu_a, mu_b)
+    assert np.array_equal(got, centering_map(words, mu_a, mu_b))
+    assert np.array_equal(got, centering_map_words(rotated, mu_a, mu_b))
+
+
+def test_centering_map_is_independent_of_its_batches(monkeypatch):
+    # whole words per batch: a budget below one word's subsets, or a few
+    # words' worth, gives the same cells bit for bit
+    rng = np.random.default_rng(43)
+    mu_a = [1.0] + list(rng.uniform(-1.5, 1.5, size=8))
+    mu_b = [1.0] + list(rng.uniform(-1.5, 1.5, size=8))
+    words = _necklaces_through(8)
+    want = centering_map(words, mu_a, mu_b)
+    for budget in (1, 5, 64, 1000):
+        monkeypatch.setattr(moments, "_CELL_BUDGET", budget)
+        assert np.array_equal(centering_map(words, mu_a, mu_b), want), budget
+
+
+def test_centering_map_accepts_fraction_moments():
+    mu_a = [Fraction(1), Fraction(1, 3), Fraction(5, 4), Fraction(-2, 7), Fraction(3)]
+    mu_b = [Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(1, 5), Fraction(7, 2)]
+    words = _necklaces_through(4)
+    assert np.array_equal(centering_map(words, mu_a, mu_b),
+                          centering_map(words, [float(v) for v in mu_a],
+                                        [float(v) for v in mu_b]))
 
 
 def test_centering_map_rejects_incomplete_word_lists():
     mu = [1.0, 0.5, 0.25]
     with pytest.raises(ValueError, match="empty word"):
         centering_map([Word.from_string("A")], mu, mu)
-    with pytest.raises(ValueError, match="lacks B"):
+    with pytest.raises(ValueError, match="lacks B, a remainder of AB"):
         centering_map([Word.empty(), Word.from_string("A"), Word.from_string("AB")], mu, mu)
+    with pytest.raises(ValueError, match="lacks AA, a remainder of AAB"):
+        centering_map([Word.empty(), Word.from_string("A"), Word.from_string("B"),
+                       Word.from_string("AB"), Word.from_string("BAA")], mu, mu)
     with pytest.raises(ValueError, match="ordered by length"):
         centering_map([Word.empty(), Word.from_string("AA"), Word.from_string("A")], mu, mu)
+    with pytest.raises(ValueError, match="distinct up to rotation"):
+        centering_map([Word.empty(), Word.from_string("A"), Word.from_string("B"),
+                       Word.from_string("AB"), Word.from_string("BA")], mu, mu)
+    with pytest.raises(ValueError, match="order 3 for letter 0, only 2 available"):
+        centering_map(_necklaces_through(3), mu, [1.0, 0.5, 0.25, 0.1])
+    with pytest.raises(ValueError, match="two-letter words"):
+        centering_map([Word.empty(), Word.from_string("C")], mu, mu)
+    with pytest.raises(ValueError, match="longer than 31 letters"):
+        centering_map([Word.empty(), Word.from_string("A" * 32)], mu, mu)
 
 
 @given(st.data())
