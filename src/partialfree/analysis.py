@@ -473,6 +473,8 @@ def silverman_bandwidth(values, derivative_order: int = 0) -> float:
     with R(phi^(m)) = (2m)! / (2^(2m+1) m! sqrt(pi)); r = 0 recovers the
     classic (4/3)^(1/5) rule.
     """
+    if derivative_order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {derivative_order}")
     values = np.asarray(values, dtype=float).ravel()
     n = values.size
     if n < 2:

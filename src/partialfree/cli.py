@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -81,9 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise ConfigError(f"{what} must be a comma-separated list of numbers, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} must hold finite numbers, got {text!r}")
+    return values
 
 
 def _cmd_necklaces(args) -> int:

@@ -491,36 +491,21 @@ class _Powers:
         return self._eigenvalues
 
 
-class StackPowers:
-    """Powers of A and B over the current stack, for one thread's run of stacks.
+def _letter(stack: np.ndarray, diagonal: bool, previous: _Powers | None) -> _Powers:
+    """The powers of one letter over a stack of pairs.
 
-    A letter whose matrix is the same in every pair of the stack is kept
-    once; ``load`` also keeps its cached powers (and eigenvalues) when the
-    next stack repeats that matrix (B is fixed in the chain and Pauli
-    ensembles).
+    A matrix that is the same in every pair of the stack is kept once and
+    broadcasts; when it is also the previous stack's single matrix, the
+    previous powers are kept with their cached powers and eigenvalues (B of
+    the chain ensemble, A and B of the Pauli pair).
     """
-
-    def __init__(self):
-        self.a: _Powers | None = None
-        self.b: _Powers | None = None
-        self.size = 0
-        self.dimension = 0
-
-    @staticmethod
-    def _powers_of(stack: np.ndarray, diagonal: bool, current: _Powers | None) -> _Powers:
-        first = stack[:1]
-        if not (stack == first).all():
-            return _Powers(stack, diagonal)
-        if (current is not None and current.matrices.shape[0] == 1
-                and np.array_equal(current.matrices, first)):
-            return current
-        return _Powers(first.copy(), diagonal)
-
-    def load(self, a: np.ndarray, b: np.ndarray, diagonal) -> "StackPowers":
-        self.a = self._powers_of(a, diagonal[0], self.a)
-        self.b = self._powers_of(b, diagonal[1], self.b)
-        self.size, self.dimension = a.shape[0], a.shape[-1]
-        return self
+    first = stack[:1]
+    if not (stack == first).all():
+        return _Powers(stack, diagonal)
+    if (previous is not None and previous.matrices.shape[0] == 1
+            and np.array_equal(previous.matrices, first)):
+        return previous
+    return _Powers(first.copy(), diagonal)
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -553,15 +538,12 @@ class WordTracePlan:
     once per stack of pairs; the last block is folded into the trace instead
     of multiplied on.  A stack holds the current prefix's products, so at
     most one product per block of the longest word is alive at a time, and
-    none outlives the call.  The plan itself is immutable and can be shared
-    between threads.
+    none outlives the call.  The words are taken as given: least rotations
+    over the letters A (0) and B (1).  The plan itself is immutable and can
+    be shared between threads.
     """
 
     def __init__(self, words):
-        words = [w.canonical() for w in words]
-        for word in words:
-            if any(letter > 1 for letter, _ in word.blocks):
-                raise ValueError("word estimation supports the two-letter alphabet")
         self.size = len(words)
         # per word in visiting order: (column, prefix products kept, blocks
         # to multiply on, last block or None for the empty word)
@@ -576,10 +558,10 @@ class WordTracePlan:
             self.steps.append((column, keep, prefix[keep:], blocks[-1] if blocks else None))
             current = prefix
 
-    def traces(self, powers: StackPowers) -> np.ndarray:
-        """Rows of tr(W)/N, one per pair of the stack loaded into ``powers``."""
-        pa, pb = powers.a, powers.b
-        out = np.empty((powers.size, self.size))
+    def traces(self, pa: _Powers, pb: _Powers, count: int) -> np.ndarray:
+        """Rows of tr(W)/N, one per pair of a stack of ``count`` pairs with letters pa, pb."""
+        dimension = pa.matrices.shape[-1]
+        out = np.empty((count, self.size))
         stack: list[np.ndarray] = []
         for column, keep, push, last in self.steps:
             del stack[keep:]
@@ -591,7 +573,7 @@ class WordTracePlan:
                 continue
             x = (pb if last[0] else pa).power(last[1])
             out[:, column] = ((_trace_product(stack[-1], x) if stack else _trace(x))
-                              / powers.dimension)
+                              / dimension)
         return out
 
 
@@ -619,7 +601,8 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     """Draw each pair once and record the raw observations taken from it.
 
     ``draw(i)`` returns the i-th of ``count`` pairs of the given dimension.
-    Each pair yields one row of raw traces of ``words``, the spectrum of
+    Each pair yields one row of raw traces of ``words`` (least rotations
+    over A and B, see ``WordTracePlan``), the spectrum of
     A + B if ``with_sums``, ``free_rotations`` free-rotated sum spectra and,
     if ``with_classical``, its permuted sum spectrum; the rotations and
     permutations come from the per-index streams of ``seed``.  Pairs are
@@ -639,15 +622,15 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     classical_pool = np.empty((count, dimension)) if with_classical else None
 
     def run_chunk(indices):
-        powers = StackPowers()
+        pa = pb = None
         for at, a, b, diagonal in _stack_groups(draw, indices, dimension):
             # errstate is per thread; the finite checks of the tables and of
             # the statistics derived from them report overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                powers.load(a, b, diagonal)
+                pa, pb = _letter(a, diagonal[0], pa), _letter(b, diagonal[1], pb)
                 if sums is not None:
                     sums[at] = _eigenvalues(a + b, all(diagonal))
-                traces[at] = plan.traces(powers)
+                traces[at] = plan.traces(pa, pb, len(at))
                 for j in range(free_rotations):
                     z = np.stack([stream(seed, i, _FREE_STREAM, j).standard_normal(
                         a.shape[1:]) for i in at])
@@ -655,8 +638,8 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                 if classical_pool is not None:
                     perms = np.stack([stream(seed, i, _CLASSICAL_STREAM).permutation(
                         dimension) for i in at])
-                    eb = np.take_along_axis(powers.b.eigenvalues(), perms, axis=1)
-                    classical_pool[at] = np.sort(powers.a.eigenvalues() + eb, axis=1)
+                    eb = np.take_along_axis(pb.eigenvalues(), perms, axis=1)
+                    classical_pool[at] = np.sort(pa.eigenvalues() + eb, axis=1)
 
     if threads > 1 and count >= 2 * threads:
         bounds = [count * j // threads for j in range(threads + 1)]
@@ -680,12 +663,16 @@ def word_trace_table(pairs, words) -> np.ndarray:
     """Raw normalized traces tr(W)/N per sample and word.
 
     Returns an array of shape (t, len(words)); the empty word reads 1.
+    Words may be given in any rotation over the letters A and B.
     Centered traces are linear in this table (see moments.centering_map).
     Traces that overflow double precision raise InputError naming the order.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one sample")
+    words = [w.canonical() for w in words]
+    if any(letter > 1 for w in words for letter, _ in w.blocks):
+        raise ValueError("word estimation supports the two-letter alphabet")
     return sample_tables(pairs.__getitem__, len(pairs), pairs[0].dimension, words).traces
 
 

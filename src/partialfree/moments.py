@@ -100,6 +100,8 @@ def _truncated(mu_a, mu_b, order):
     mu_b = _check_moments(mu_b, "mu_b")
     if order is None:
         order = min(len(mu_a), len(mu_b)) - 1
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if order >= min(len(mu_a), len(mu_b)):
         raise ValueError(
             f"order {order} exceeds the available moments "

@@ -96,51 +96,37 @@ class LatticeModel:
         return self.entry_moments[order - 1]
 
 
-def _word_ops(word: Word):
-    """Flatten a word into deposit/hop operations; returns (ops, total hops)."""
-    ops = []
-    hops = 0
-    for letter, exponent in word.blocks:
-        if letter == 0:
-            ops.append(("deposit", exponent))
-        else:
-            ops.append(("hop", exponent))
-            hops += exponent
-    return ops, hops
+def _walk_sum(model: LatticeModel, steps, start: int):
+    """Sum of expected weights over closed walks from ``start``.
 
-
-def _walk_sum(model: LatticeModel, ops, start: int):
-    """Sum of expected weights over closed walks from ``start`` following ops."""
+    ``steps`` holds an int e per A block, which deposits e powers of the
+    entry at the walker's site, and None per B factor, a hop along an edge.
+    """
     neighbors = [np.flatnonzero(model.adjacency[i]) for i in range(model.size)]
     exact = all(isinstance(m, (int, Fraction)) for m in model.entry_moments)
-    zero = Fraction(0) if exact else 0.0
-    total = zero
+    total = Fraction(0) if exact else 0.0
 
-    def visit(op_index, hop_index, site, deposits):
+    def visit(i, site, deposits):
         nonlocal total
-        if op_index == len(ops):
+        if i == len(steps):
             if site == start:
                 weight = 1
                 for powered in deposits.values():
                     weight *= model.entry_moment(powered)
                 total += weight
             return
-        kind, amount = ops[op_index]
-        if kind == "deposit":
-            deposits[site] = deposits.get(site, 0) + amount
-            visit(op_index + 1, hop_index, site, deposits)
-            deposits[site] -= amount
-            if deposits[site] == 0:
-                del deposits[site]
-        elif amount == hop_index + 1:
-            # last hop of this block: advance to the next op
+        e = steps[i]
+        if e is None:
             for nxt in neighbors[site]:
-                visit(op_index + 1, 0, int(nxt), deposits)
-        else:
-            for nxt in neighbors[site]:
-                visit(op_index, hop_index + 1, int(nxt), deposits)
+                visit(i + 1, int(nxt), deposits)
+            return
+        deposits[site] = deposits.get(site, 0) + e
+        visit(i + 1, site, deposits)
+        deposits[site] -= e
+        if deposits[site] == 0:
+            del deposits[site]
 
-    visit(0, 0, start, {})
+    visit(0, start, {})
     return total
 
 
@@ -156,14 +142,16 @@ def exact_word_net(word: Word, model: LatticeModel):
         raise ValueError("walk sums are defined for two-letter words")
     if word.length == 0:
         return 1
-    ops, hops = _word_ops(word)
+    hops = sum(e for letter, e in word.blocks if letter)
     if hops > model.max_hops:
         raise ResourceLimitError(
             f"word requires {hops} hops, above the configured bound {model.max_hops}"
         )
+    # a step per A block, not per symbol: A^e is one recursion level at any e
+    steps = [step for letter, e in word.blocks for step in ([None] * e if letter else [e])]
     if model.translation_invariant:
-        return _walk_sum(model, ops, 0)
-    total = sum(_walk_sum(model, ops, s) for s in range(model.size))
+        return _walk_sum(model, steps, 0)
+    total = sum(_walk_sum(model, steps, s) for s in range(model.size))
     n = model.size
     if isinstance(total, (int, Fraction)):
         return Fraction(total, n) if isinstance(total, int) else total / n

@@ -54,6 +54,13 @@ def test_silverman_bandwidth_is_exact_under_power_of_two_scaling():
         assert tiny == silverman_bandwidth(sample, r) * 2.0**-1000
 
 
+@pytest.mark.parametrize("order", [-1, -2, -3])
+def test_silverman_bandwidth_rejects_a_negative_derivative_order(order):
+    sample = np.random.default_rng(0).standard_normal(100)
+    with pytest.raises(ValueError, match=f"derivative order must be >= 0, got {order}"):
+        silverman_bandwidth(sample, order)
+
+
 def _quartile_samples():
     rng = np.random.default_rng(5)
     for n in [*range(2, 65), 1000, 4097, 64000]:

@@ -67,6 +67,28 @@ def test_convolve_order_too_large(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("kind", ["--free", "--classical"])
+@pytest.mark.parametrize("order", ["-1", "-2"])
+def test_convolve_negative_order_is_config_error(capsys, kind, order):
+    code, out, err = run_cli(capsys, "convolve", kind, "--moments-a", "1,0,1",
+                             "--moments-b", "1,0,1", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert f"order must be >= 0, got {order}" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("convolve", "--free", "--moments-a", "1,inf", "--moments-b", "1,0,1"), "--moments-a"),
+    (("convolve", "--classical", "--moments-a", "1,0", "--moments-b", "1,nan"), "--moments-b"),
+    (("pathsum", "--word", "AABB", "--chain", "4", "--moments", "0,-inf"), "--moments"),
+])
+def test_non_finite_list_entries_are_config_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must hold finite numbers")
+
+
 def test_pathsum_command(capsys):
     code, out, _ = run_cli(capsys, "pathsum", "--word", "ABABABAB",
                            "--chain", "40", "--circulant",

@@ -356,6 +356,30 @@ def test_word_traces_match_block_power_oracle(spec):
             assert abs(centered[i, j] - want) <= 1e-10 * max(1.0, abs(want)), word
 
 
+def test_table_words_are_least_rotations():
+    # the sampling pass takes the scan's words as given
+    from partialfree.analysis import _table_words
+
+    for order in range(1, 13):
+        for word in _table_words(order):
+            assert word == word.canonical(), word
+
+
+def test_word_trace_table_canonicalizes_rotated_words():
+    spec = EnsembleSpec.goe(5, seed=44)
+    samples = [sample_pair(spec, i) for i in range(6)]
+    rotated = [Word.from_string(w) for w in ("BA", "BBA", "BAA", "BABA", "BBAAB", "ABBAB")]
+    least = [Word.from_string(w) for w in ("AB", "ABB", "AAB", "ABAB", "AABBB", "ABABB")]
+    assert [w.canonical() for w in rotated] == least
+    assert np.array_equal(word_trace_table(samples, rotated), word_trace_table(samples, least))
+
+
+def test_word_trace_table_rejects_a_third_letter():
+    samples = [sample_pair(EnsembleSpec.goe(4, seed=45), 0)]
+    with pytest.raises(ValueError, match="word estimation supports the two-letter alphabet"):
+        word_trace_table(samples, [Word.from_string("ABC")])
+
+
 def test_load_pair_file_sees_rewritten_file(tmp_path):
     path = tmp_path / "pairs.jsonl"
     record = json.dumps({"A": [[1.0]], "B": [[2.0]]})

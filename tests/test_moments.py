@@ -227,6 +227,13 @@ def test_convolve_order_validation():
         free_convolve([1, 0, 1], [1, 0, 1], order=5)
 
 
+@pytest.mark.parametrize("convolve", [free_convolve, classical_convolve])
+@pytest.mark.parametrize("order", [-1, -2])
+def test_convolve_rejects_a_negative_order(convolve, order):
+    with pytest.raises(ValueError, match=f"order must be >= 0, got {order}"):
+        convolve([1, 0, 1], [1, 0, 1], order)
+
+
 def test_atomic_convolve_examples():
     conv = atomic_classical_convolve(TWO_ATOM, TWO_ATOM)
     assert conv.atoms == ((-2, Fraction(1, 4)), (0, Fraction(1, 2)), (2, Fraction(1, 4)))

@@ -26,6 +26,14 @@ def test_gaussian_entry_moments():
     assert gaussian_entry_moments(8) == (0, 1, 0, 3, 0, 15, 0, 105)
 
 
+def test_long_pure_block_is_one_walk_step():
+    # one deposit per A block: A^1500 stays far below the recursion limit
+    moments = tuple(range(1, 1501))
+    for circulant in (True, False):
+        model = LatticeModel.chain(4, moments, circulant=circulant)
+        assert exact_word_net(Word(((0, 1500),)), model) == 1500
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         LatticeModel(np.array([[1, 0], [0, 0]]), (0, 1))  # nonzero diagonal
