@@ -30,7 +30,7 @@ raw table through one linear inclusion-exclusion map
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,22 +92,6 @@ def _word_floors(words, mu_a, mu_b) -> np.ndarray:
     counts = np.array([[sum(e for x, e in w.blocks if x == letter) for letter in (0, 1)]
                        for w in words])
     return _EXACT_RTOL * np.sqrt(mu_a[2]) ** counts[:, 0] * np.sqrt(mu_b[2]) ** counts[:, 1]
-
-
-def _moment_floors(mu_a, mu_b, mu_s, order: int) -> np.ndarray:
-    """Noise floor of the order-k moment difference, k = 0..order.
-
-    The difference sums the order-k words.  The pure ones, A^k and B^k,
-    cancel in expectation and leave rounding only; the mixed ones carry the
-    signal, each at its own scale (``_word_floors``).  The floor is the
-    largest mixed word's plus 1e-12 of sqrt(mu_2k(A + B)), which bounds the
-    mean |eigenvalue|^k that the moments' rounding scales with, however
-    spiky the spectrum.  It vanishes only for all-zero pairs.
-    """
-    r_a, r_b = np.sqrt(mu_a[2]), np.sqrt(mu_b[2])
-    return np.array([
-        _EXACT_RTOL * max((r_a ** a * r_b ** (k - a) for a in range(1, k)), default=0.0)
-        + _ROUNDING_RTOL * np.sqrt(mu_s[2 * k]) for k in range(order + 1)])
 
 
 @dataclass(frozen=True)
@@ -204,8 +188,9 @@ def _table_words(order: int) -> list[Word]:
     return [Word.empty()] + [n.word for k in range(1, order + 1) for n in word_expansion(k, 2)]
 
 
-def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
-                  order: int, level: float) -> list[MomentRow]:
+def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
+                  level: float, word_floor: np.ndarray,
+                  sampled=(None, None)) -> list[MomentRow]:
     """Per-order comparison of the estimated sum moments with the free prediction.
 
     The test statistic is the difference between the Monte Carlo mean and
@@ -215,6 +200,11 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
     two correlated sides.  The full-sample means and the t leave-one-out
     means form one replicate table, so a single batched ``free_convolve``
     call yields the point prediction and every jackknife replicate.
+    The order-k floor is ``word_floor[k]``, the largest floor of a mixed
+    word of length k (A^k and B^k cancel in expectation), plus 1e-12
+    sqrt(mu_2k(A + B)), which bounds the mean |eigenvalue|^k that the
+    moments' rounding scales with.  ``sampled`` holds the moment estimates
+    of the free-rotated and permuted sums, each None if not drawn.
     """
     t = m_a.shape[0]
     if m_s.shape[1] < 2 * order + 1:
@@ -241,9 +231,10 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
         spread = ((loo - loo.mean(axis=2, keepdims=True)) ** 2).sum(axis=2)
         diff_se, pred_se = np.sqrt((t - 1) / t * spread)
 
-    floors = _moment_floors(rep_a[:, 0], rep_b[:, 0], m_s.mean(axis=0), order)
+    floors = word_floor + _ROUNDING_RTOL * np.sqrt(m_s.mean(axis=0)[: 2 * order + 1: 2])
     require_finite(np.stack([summed.values, summed.se, predicted, pred_se, diffs, diff_se,
                              floors]), "moment statistic", range(order + 1))
+    free, classical = sampled
     rows = []
     for k in range(1, order + 1):
         z, p_value = _two_sided_test(float(diffs[k]), float(diff_se[k]), floors[k])
@@ -258,6 +249,10 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray,
             z=z,
             p_value=p_value,
             reject=p_value < level,
+            sampled_free=float(free.values[k]) if free else None,
+            sampled_free_se=float(free.se[k]) if free else None,
+            sampled_classical=float(classical.values[k]) if classical else None,
+            sampled_classical_se=float(classical.se[k]) if classical else None,
         ))
     return rows
 
@@ -314,11 +309,11 @@ class _WordScan:
     only the p-values; ``rows`` builds the report rows of one order.
     """
 
-    def __init__(self, tables: SampleTables, mu):
+    def __init__(self, tables: SampleTables, mu, floors: np.ndarray):
         self.tables = tables
         self.lengths = [w.length for w in tables.words]
         self.mu = mu
-        self.floors = _word_floors(tables.words, *mu)
+        self.floors = floors
         self.expansion = centering_map(tables.words, *mu)
         mean, se = _column_stats(tables.traces @ self.expansion)
         require_finite(np.stack([mean, se, self.floors]), "centered word statistic",
@@ -377,16 +372,27 @@ def _detect(tables: SampleTables, order: int, alpha: float):
     budget alpha is split evenly between the stages, Bonferroni-corrected
     within each (K moment tests; all cyclic terms through order K).
 
-    Returns the DegreeResult plus the word scan, from which callers build
-    the report rows of the degree.
+    Both stages test against the word floors.  Returns the DegreeResult
+    plus the word scan, from which callers build the report rows of the
+    degree.
     """
-    moment_level = alpha / (2 * order)
-    word_level = alpha / (2 * _word_family_size(order))
     m_s = per_sample_moments(tables.sums, 2 * order)
     require_finite(m_s, "moment of A + B", range(2 * order + 1))
     pure = _pure_moments(tables, order)
-    rows = _moment_stage(*pure, m_s, order, moment_level)
-    scan = _WordScan(tables, [m.mean(axis=0) for m in pure])
+    mu = [m.mean(axis=0) for m in pure]
+    floors = _word_floors(tables.words, *mu)
+    mixed = [j for j, w in enumerate(tables.words) if not w.is_pure]
+    word_floor = np.zeros(order + 1)
+    np.maximum.at(word_floor, [tables.words[j].length for j in mixed], floors[mixed])
+    sampled = [estimate_moments(pool, order) if pool is not None else None
+               for pool in (tables.free_pool, tables.classical_pool)]
+    rows = _moment_stage(*pure, m_s, order, alpha / (2 * order), word_floor, sampled)
+    scan = _WordScan(tables, mu, floors)
+    for what, est in zip(("rotated", "permuted"), sampled):
+        if est is not None:
+            require_finite(np.stack([est.values, est.se]), f"{what}-sum moment",
+                           range(order + 1))
+    word_level = alpha / (2 * (len(tables.words) - 1))
     degree = None
     triggered_by = None
     triggering: tuple[str, ...] = ()
@@ -437,7 +443,7 @@ def localize_violations(samples, degree: int, alpha: float,
                            threads)
     mu = [m.mean(axis=0) for m in _pure_moments(tables, tables.words[-1].length)]
     with np.errstate(**_QUIET):
-        return _WordScan(tables, mu).rows(degree, alpha)
+        return _WordScan(tables, mu, _word_floors(tables.words, *mu)).rows(degree, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -750,23 +756,8 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
                            with_classical=config.include_classical)
     with np.errstate(**_QUIET):
         degree_result, scan = _detect(tables, order, config.alpha)
-        free_est = estimate_moments(tables.free_pool, order)
-        classical_est = (estimate_moments(tables.classical_pool, order)
-                         if config.include_classical else None)
-        for what, est in (("rotated", free_est), ("permuted", classical_est)):
-            if est is not None:
-                require_finite(np.stack([est.values, est.se]), f"{what}-sum moment",
-                               range(order + 1))
         degree = degree_result.degree
         words = scan.rows(degree, config.alpha) if degree is not None else []
-
-    rows = [replace(
-        row,
-        sampled_free=float(free_est.values[row.order]),
-        sampled_free_se=float(free_est.se[row.order]),
-        sampled_classical=float(classical_est.values[row.order]) if classical_est else None,
-        sampled_classical_se=float(classical_est.se[row.order]) if classical_est else None,
-    ) for row in degree_result.rows]
 
     notes = ["field: real-symmetric"]
     delta_mu = None
@@ -794,7 +785,7 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
     if not config.include_classical:
         notes.append("classical sampling disabled; f_classical omitted")
 
-    return FreenessReport(config=config.describe(), degree=degree, moments=tuple(rows),
+    return FreenessReport(config=config.describe(), degree=degree, moments=degree_result.rows,
                           words=tuple(words), densities=densities, notes=tuple(notes))
 
 

@@ -129,7 +129,7 @@ def _run_config(args, spec: EnsembleSpec, sample_count: int, order: int) -> anal
         alpha=args.alpha,
         include_exact_sum=not args.no_exact_sum,
         include_classical=not args.no_classical,
-        threads=max(1, args.threads),
+        threads=args.threads,
     )
 
 

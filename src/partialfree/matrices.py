@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -183,6 +184,10 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 # path -> ((st_mtime_ns, st_size) when parsed, records)
 _file_cache: dict[str, tuple[tuple[int, int], list[MatrixPairSample]]] = {}
 
+# read with errors="surrogateescape", each byte that is not UTF-8 becomes a
+# lone surrogate U+DC80..U+DCFF, which valid UTF-8 never decodes to
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
 
 def _load_pair_file(path: str) -> list[MatrixPairSample]:
     try:
@@ -195,8 +200,12 @@ def _load_pair_file(path: str) -> list[MatrixPairSample]:
         return cached[1]
     records: list[MatrixPairSample] = []
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            bad = _UNDECODABLE.search(line)
+            if bad:
+                raise InputError(f"{path} line {lineno}: not UTF-8 text "
+                                 f"(byte 0x{ord(bad.group()) - 0xDC00:02x})")
             line = line.strip()
             if not line:
                 continue
@@ -475,14 +484,13 @@ class _Powers:
         self._eigenvalues: np.ndarray | None = None
 
     def power(self, e: int) -> np.ndarray:
-        p = self.cache.get(e)
-        if p is None:
-            if self.diagonal:
-                p = self.cache[1] ** e
-            else:
-                p = self.cache[1] @ self.power(e - 1)
-            self.cache[e] = p
-        return p
+        if self.diagonal and e not in self.cache:
+            self.cache[e] = self.cache[1] ** e
+        # a dense letter holds every power up to its highest one and builds
+        # the missing ones upward, X^j = X @ X^(j-1), without recursion
+        for j in range(max(self.cache) + 1, e + 1):
+            self.cache[j] = self.cache[1] @ self.cache[j - 1]
+        return self.cache[e]
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues per matrix, (c, n) or (1, n); solved once."""

@@ -301,7 +301,8 @@ def centering_map(words, mu_a, mu_b) -> np.ndarray:
     order do).  With ``raw`` holding tr(W)/N per sample in that column order
     (1 for the empty word), ``raw @ M`` holds tr(prod (X^e - mu_e(X)))/N.
     M has a unit diagonal and otherwise only entries M[i, j] with i < j,
-    from words shorter than word j.
+    from words shorter than word j.  The words are taken as given, least
+    rotations over A (0) and B (1), as ``matrices.WordTracePlan`` takes them.
 
     Column j sums the terms of ``_block_deletions`` of word j's canonical
     blocks, in the same bit-mask order and with the same products.  The
@@ -316,11 +317,15 @@ def centering_map(words, mu_a, mu_b) -> np.ndarray:
         raise ValueError("words must be ordered by length")
     if words[-1].length > _MAX_PACKED_LENGTH:
         raise ValueError(f"words longer than {_MAX_PACKED_LENGTH} letters are not supported")
-    canonical = [canonical_blocks(w.blocks) for w in words]
-    if any(letter > 1 for blocks in canonical for letter, _ in blocks):
+    if any(letter > 1 for w in words for letter, _ in w.blocks):
         raise ValueError("the centering map is defined for two-letter words")
-    keys = np.array([int("1" + "".join(str(letter) * e for letter, e in blocks), 2)
-                     for blocks in canonical])
+    keys = np.array([int("1" + "".join(str(letter) * e for letter, e in w.blocks), 2)
+                     for w in words])
+    lengths = np.array([w.length for w in words])
+    rotated = np.flatnonzero(_packed_keys(keys ^ (1 << lengths), lengths) != keys)
+    if rotated.size:
+        raise ValueError(f"word {words[rotated[0]].to_string()} is not the least rotation "
+                         "of its necklace")
     order = np.argsort(keys)
     sorted_keys = keys[order]
     if np.any(sorted_keys[1:] == sorted_keys[:-1]):
@@ -330,8 +335,8 @@ def centering_map(words, mu_a, mu_b) -> np.ndarray:
 
     # per word, padded to the most blocks: exponent, bits (all ones for B)
     # and -moment of each block; padding blocks have no letters
-    counts = np.array([len(blocks) for blocks in canonical])
-    flat = [block for blocks in canonical for block in blocks]
+    counts = np.array([len(w.blocks) for w in words])
+    flat = [block for w in words for block in w.blocks]
     filled = np.arange(counts.max()) < counts[:, None]
     letter, exponent = np.array(flat, dtype=np.int64).reshape(-1, 2).T
     exps = np.zeros(filled.shape, dtype=np.int64)
@@ -366,7 +371,7 @@ def centering_map(words, mu_a, mu_b) -> np.ndarray:
             first = int(np.argmax(missing))
             lacking = format(int(rest[first]), "b")[1:].translate(str.maketrans("01", "AB"))
             raise ValueError(f"word list lacks {lacking}, "
-                             f"a remainder of {Word(canonical[word[first]]).to_string()}")
+                             f"a remainder of {words[word[first]].to_string()}")
         # terms run in (word, bit mask) order, so each cell sums in that order
         np.add.at(out, (order[at], word), coefficient)
         j = stop

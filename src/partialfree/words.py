@@ -15,6 +15,11 @@ from itertools import groupby
 from math import gcd
 from string import ascii_uppercase as _LETTERS
 
+from .errors import ResourceLimitError
+
+# the most classes enumerated at once (each costs about 1 KB)
+_MAX_NECKLACES = 1 << 20
+
 
 def _totient(d: int) -> int:
     count = 0
@@ -198,9 +203,13 @@ def enumerate_necklaces(n: int, k: int, fold_reflections: bool = False) -> list[
     (bracelets).  That identification is only sound when the trace of a
     reversed product equals the trace of the product itself, which holds
     for real-symmetric matrices; it is offered as an opt-in optimization.
+    More than 2^20 classes raise ResourceLimitError before any is built.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    count = necklace_count(n, k)
+    if count > _MAX_NECKLACES:
+        raise ResourceLimitError(
+            f"there are {count} necklaces of length n = {n} over k = {k} letters, "
+            f"more than the bound of 2^20 = {_MAX_NECKLACES}")
     necklaces = [
         Necklace(Word.from_symbols(symbols, k), period)
         for symbols, period in _fkm_necklaces(n, k)

@@ -593,7 +593,7 @@ def test_batched_jackknife_matches_per_replicate_loop(variant, order):
                                         2 * order)
                      for mats in ([p.a for p in pairs], [p.b for p in pairs],
                                   [p.a + p.b for p in pairs]))
-    rows = _moment_stage(m_a, m_b, m_s, order, 0.01)
+    rows = _moment_stage(m_a, m_b, m_s, order, 0.01, np.zeros(order + 1))
 
     # the per-replicate loop of acceptance criterion 07, plus the sum side
     predicted = np.array(free_convolve(m_a.mean(axis=0)[: order + 1].tolist(),

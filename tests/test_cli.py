@@ -41,6 +41,14 @@ def test_necklaces_bad_args(capsys):
     assert code == 2
 
 
+def test_necklaces_beyond_the_class_bound_is_resource_limit(capsys):
+    # 2.7e10 classes: refused from the count, before any is enumerated
+    code, out, err = run_cli(capsys, "necklaces", "40", "2")
+    assert code == 4
+    assert out == ""
+    assert "27487816992 necklaces" in err and "n = 40" in err and "k = 2" in err
+
+
 def test_convolve_free(capsys):
     code, out, _ = run_cli(capsys, "convolve", "--free",
                            "--moments-a", "1,0,1,0,1,0,1,0,1",
@@ -111,6 +119,31 @@ def test_missing_input_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "--input", "/nonexistent/pairs.jsonl")
     assert code == 3
     assert "input error" in err
+
+
+def test_non_utf8_input_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    record = json.dumps({"A": [[1.0]], "B": [[2.0]]}).encode()
+    path.write_bytes(record + b"\n" + record.replace(b"2.0", b"2.\xff") + b"\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"input error: {path} line 2: ") and "0xff" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["analyze", "demo"])
+def test_threads_below_one_is_config_error(tmp_path, capsys, command, threads):
+    if command == "analyze":
+        path = tmp_path / "pairs.jsonl"
+        _write_diagonal_pairs(path, t=40, n=3)
+        argv = ["analyze", "--input", str(path)]
+    else:
+        argv = ["demo", "arcsine", "--t", "100"]
+    code, out, err = run_cli(capsys, *argv, "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert err == "error: need threads >= 1\n"
 
 
 def _write_diagonal_pairs(path, t=80, n=12, seed=202):

@@ -374,6 +374,20 @@ def test_word_trace_table_canonicalizes_rotated_words():
     assert np.array_equal(word_trace_table(samples, rotated), word_trace_table(samples, least))
 
 
+def test_word_trace_table_builds_high_powers_without_recursion():
+    # A^1500 is 1499 products built upward in a loop; the spectral radius of
+    # A is 1.0005, so every trace stays within double range
+    spec = EnsembleSpec.goe(3, seed=46)
+    samples = []
+    for i in range(4):
+        pair = sample_pair(spec, i)
+        radius = np.abs(np.linalg.eigvalsh(pair.a)).max()
+        samples.append(MatrixPairSample(pair.a * (1.0005 / radius), pair.b))
+    got = word_trace_table(samples, [Word.from_string("A" * 1500)])[:, 0]
+    want = np.array([np.sum(np.linalg.eigvalsh(p.a) ** 1500) / 3 for p in samples])
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 def test_word_trace_table_rejects_a_third_letter():
     samples = [sample_pair(EnsembleSpec.goe(4, seed=45), 0)]
     with pytest.raises(ValueError, match="word estimation supports the two-letter alphabet"):
