@@ -121,8 +121,11 @@ def _cmd_pathsum(args) -> int:
     return 0
 
 
-def _run_config(args, spec: EnsembleSpec, sample_count: int, order: int) -> analysis.AnalysisConfig:
-    return analysis.AnalysisConfig(
+def _run_report(args, spec: EnsembleSpec, sample_count: int, order: int) -> int:
+    """Run the analysis and write its report; a missing --output directory fails first."""
+    if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+        raise InputError(f"{args.output}: the directory does not exist")
+    report = analysis.run_analysis(analysis.AnalysisConfig(
         ensemble=spec,
         sample_count=sample_count,
         order=order,
@@ -130,16 +133,14 @@ def _run_config(args, spec: EnsembleSpec, sample_count: int, order: int) -> anal
         include_exact_sum=not args.no_exact_sum,
         include_classical=not args.no_classical,
         threads=args.threads,
-    )
-
-
-def _emit_report(report: analysis.FreenessReport, args) -> None:
+    ))
     text = report.to_json() if args.format == "json" else report.densities_csv()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _cmd_analyze(args) -> int:
@@ -149,9 +150,7 @@ def _cmd_analyze(args) -> int:
     if count > available:
         raise InputError(f"{args.input}: requested {count} samples, file has {available}")
     order = args.k if args.k is not None else 6
-    report = analysis.run_analysis(_run_config(args, spec, count, order))
-    _emit_report(report, args)
-    return 0
+    return _run_report(args, spec, count, order)
 
 
 def _cmd_demo(args) -> int:
@@ -171,9 +170,7 @@ def _cmd_demo(args) -> int:
         spec = EnsembleSpec.tridiagonal_adjacency(dimension, seed=args.seed, circulant=True)
         count = args.t if args.t is not None else 500
         order = args.k if args.k is not None else 8
-    report = analysis.run_analysis(_run_config(args, spec, count, order))
-    _emit_report(report, args)
-    return 0
+    return _run_report(args, spec, count, order)
 
 
 def main(argv=None) -> int:

@@ -8,10 +8,10 @@ distinct indices give independent streams.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -184,10 +184,6 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 # path -> ((st_mtime_ns, st_size) when parsed, records)
 _file_cache: dict[str, tuple[tuple[int, int], list[MatrixPairSample]]] = {}
 
-# read with errors="surrogateescape", each byte that is not UTF-8 becomes a
-# lone surrogate U+DC80..U+DCFF, which valid UTF-8 never decodes to
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
 
 def _load_pair_file(path: str) -> list[MatrixPairSample]:
     try:
@@ -199,14 +195,18 @@ def _load_pair_file(path: str) -> list[MatrixPairSample]:
     if cached is not None and cached[0] == stamp:
         return cached[1]
     records: list[MatrixPairSample] = []
-    dim = None
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            bad = _UNDECODABLE.search(line)
-            if bad:
+    with open(path, "rb") as fh:
+        # bytes.splitlines ends a line at \n, \r\n or a bare \r, as text mode's
+        # universal newlines do; a binary chunk never splits a \r\n
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, raw in enumerate(lines, start=1):
+            if lineno == 1:
+                raw = raw.removeprefix(codecs.BOM_UTF8)
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
                 raise InputError(f"{path} line {lineno}: not UTF-8 text "
-                                 f"(byte 0x{ord(bad.group()) - 0xDC00:02x})")
-            line = line.strip()
+                                 f"(byte 0x{raw[exc.start]:02x})") from None
             if not line:
                 continue
             try:
@@ -220,12 +220,10 @@ def _load_pair_file(path: str) -> list[MatrixPairSample]:
                                         np.asarray(obj["B"], dtype=float))
             except (ValueError, TypeError) as exc:
                 raise InputError(f"{path} line {lineno}: {exc}") from None
-            if dim is None:
-                dim = pair.dimension
-            elif pair.dimension != dim:
+            if records and pair.dimension != records[0].dimension:
                 raise InputError(
                     f"{path} line {lineno}: dimension {pair.dimension} differs "
-                    f"from first record ({dim})"
+                    f"from first record ({records[0].dimension})"
                 )
             records.append(pair)
     if not records:
@@ -240,6 +238,14 @@ def load_pair_file(path: str) -> list[MatrixPairSample]:
     return _load_pair_file(path)
 
 
+def _built_pair(a: np.ndarray, b: np.ndarray) -> MatrixPairSample:
+    """Pair of arrays built float64, square, finite and exactly symmetric; not re-checked."""
+    pair = object.__new__(MatrixPairSample)
+    object.__setattr__(pair, "a", a)
+    object.__setattr__(pair, "b", b)
+    return pair
+
+
 def sample_pair(spec: EnsembleSpec, index: int) -> MatrixPairSample:
     """Draw the ``index``-th pair of the ensemble; deterministic in (seed, index)."""
     n = spec.dimension
@@ -251,27 +257,24 @@ def sample_pair(spec: EnsembleSpec, index: int) -> MatrixPairSample:
             )
         return records[index]
     if spec.variant == "pauli-block-pair":
-        a, b = pauli_block_matrices(n)
-        return MatrixPairSample(a, b)
+        return _built_pair(*pauli_block_matrices(n))
 
     rng = stream(spec.seed, index, _PAIR_STREAM)
     if spec.variant == "goe":
         scale = math.sqrt(2.0 * n)
         ga = rng.standard_normal((n, n))
         gb = rng.standard_normal((n, n))
-        return MatrixPairSample((ga + ga.T) / scale, (gb + gb.T) / scale)
+        return _built_pair((ga + ga.T) / scale, (gb + gb.T) / scale)
     if spec.variant == "gaussian-diagonal":
-        return MatrixPairSample(np.diag(rng.standard_normal(n)),
-                                np.diag(rng.standard_normal(n)))
+        return _built_pair(np.diag(rng.standard_normal(n)), np.diag(rng.standard_normal(n)))
     if spec.variant == "tridiagonal-adjacency":
-        a = np.diag(rng.standard_normal(n))
-        return MatrixPairSample(a, chain_adjacency(n, spec.circulant))
+        return _built_pair(np.diag(rng.standard_normal(n)), chain_adjacency(n, spec.circulant))
     if spec.variant == "rotation-pair-2x2":
         theta = rng.uniform(0.0, math.pi)
         u, u_inv = _rotation(theta), _rotation(-theta)
         a = u @ _SIGMA_Z @ u_inv
         b = u_inv @ _SIGMA_Z @ u
-        return MatrixPairSample(0.5 * (a + a.T), 0.5 * (b + b.T))
+        return _built_pair(0.5 * (a + a.T), 0.5 * (b + b.T))
     raise AssertionError(f"unhandled variant {spec.variant}")
 
 

@@ -117,9 +117,9 @@ def free_convolve(mu_a, mu_b, order: int | None = None) -> list:
     normalized moment sequence.
     """
     mu_a, mu_b = _truncated(mu_a, mu_b, order)
-    ca = free_cumulants_from_moments(mu_a)
-    cb = free_cumulants_from_moments(mu_b)
-    return moments_from_free_cumulants([ca[0]] + [x + y for x, y in zip(ca[1:], cb[1:])])
+    ca = _free_recursion(mu_a, to_moments=False)
+    cb = _free_recursion(mu_b, to_moments=False)
+    return _free_recursion([ca[0]] + [x + y for x, y in zip(ca[1:], cb[1:])], to_moments=True)
 
 
 def classical_convolve(mu_a, mu_b, order: int | None = None) -> list:

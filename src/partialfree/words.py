@@ -91,13 +91,8 @@ class Word:
         symbols = tuple(symbols)
         if k is None:
             k = max(symbols) + 1 if symbols else 1
-        blocks = []
-        for s in symbols:
-            if blocks and blocks[-1][0] == s:
-                blocks[-1] = (s, blocks[-1][1] + 1)
-            else:
-                blocks.append((s, 1))
-        return cls(tuple(blocks), k)
+        # one block per symbol; the constructor merges the runs
+        return cls(tuple((s, 1) for s in symbols), k)
 
     @classmethod
     def from_string(cls, text: str, k: int | None = None) -> "Word":

@@ -29,13 +29,21 @@ def rotation_classes(n, k):
 
 
 def rotation_classes_bytes(n, k):
-    """Same as rotation_classes but tuned for large n (bytes arithmetic)."""
-    classes = {}
-    for symbols in product(range(k), repeat=n):
-        s = bytes(symbols)
-        canon = min(s[i:] + s[:i] for i in range(n))
-        classes[canon] = classes.get(canon, 0) + 1
-    return classes
+    """Same as rotation_classes, keyed by bytes, in one integer pass.
+
+    String x, read as n base-k digits, rotates left by one digit to
+    (x % k**(n-1)) * k + x // k**(n-1); the least of its n rotations is the
+    least rotation of the string, and equal ones are counted by np.unique.
+    """
+    top = k ** (n - 1)
+    x = np.arange(k**n, dtype=np.int64)
+    least = x.copy()
+    for _ in range(n - 1):
+        x = (x % top) * k + x // top
+        np.minimum(least, x, out=least)
+    canon, counts = np.unique(least, return_counts=True)
+    digits = (canon[:, None] // k ** np.arange(n - 1, -1, -1)) % k
+    return {row.tobytes(): int(c) for row, c in zip(digits.astype(np.uint8), counts)}
 
 
 def series_reciprocal(coeffs):

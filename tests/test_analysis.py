@@ -15,6 +15,7 @@ from partialfree.analysis import (
     kde_density,
     kde_derivative,
     _quartiles,
+    _trapz,
     ks_statistic,
     localize_violations,
     run_analysis,
@@ -295,9 +296,9 @@ def test_edgeworth_mass_conserved_before_clipping():
     deriv = kde_derivative(sample, 4, bandwidth=h4, grid=grid)
     delta = 0.3
     term = (delta / math.factorial(4)) * deriv.values
-    assert abs(np.trapezoid(term, grid)) < 1e-6
+    assert abs(_trapz(term, grid)) < 1e-6
     corrected = edgeworth_corrected_density(base, deriv, delta)
-    raw_mass = np.trapezoid(base.values + term, grid)
+    raw_mass = _trapz(base.values + term, grid)
     assert raw_mass == pytest.approx(base.integral(), abs=1e-6)
 
 
@@ -311,7 +312,7 @@ def test_edgeworth_moment_recovery():
     deriv = kde_derivative(sample, p, bandwidth=h, grid=grid)
     delta = 0.25
     term = ((-1.0) ** p * delta / math.factorial(p)) * deriv.values
-    got = np.trapezoid(grid**p * term, grid)
+    got = _trapz(grid**p * term, grid)
     assert got == pytest.approx(delta, rel=0.02)
 
 
@@ -517,7 +518,7 @@ def test_report_structure(diagonal_report):
     assert d["f_corrected"] is not None and d["delta_mu"] is not None
     grid = np.array(d["grid"])
     f_free = np.array(d["f_free"])
-    assert np.trapezoid(f_free, grid) == pytest.approx(1.0, abs=1e-3)
+    assert _trapz(f_free, grid) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_report_moment_table_columns(diagonal_report):
@@ -823,3 +824,25 @@ def test_spiky_deterministic_pairs_free_with_zero_or_identity(n):
     a = np.outer(v, v)
     for b in (np.zeros((n, n)), np.eye(n)):
         assert detect_degree([MatrixPairSample(a, b)] * 40, 10, 0.05).degree is None
+
+
+def test_generated_pairs_reach_the_pass_unchecked_and_file_records_checked(monkeypatch,
+                                                                         tmp_path):
+    from partialfree import matrices
+
+    checked = []
+    real = matrices._require_symmetric
+    monkeypatch.setattr(matrices, "_require_symmetric",
+                        lambda m, what, atol: checked.append(what) or real(m, what, atol))
+    for spec in (EnsembleSpec.rotation_pair(seed=1), EnsembleSpec.goe(4, seed=2),
+                 EnsembleSpec.gaussian_diagonal(4, seed=3),
+                 EnsembleSpec.tridiagonal_adjacency(8, seed=4),
+                 EnsembleSpec.pauli_block_pair(6)):
+        run_analysis(AnalysisConfig(ensemble=spec, sample_count=40, order=4, alpha=1e-9))
+    assert checked == []
+
+    path = tmp_path / "pairs.jsonl"
+    _write_goe_pairs(path, n=4, t=35)
+    run_analysis(AnalysisConfig(ensemble=EnsembleSpec.from_file(str(path)),
+                                sample_count=35, order=4, alpha=1e-9))
+    assert checked == ["A", "B"] * 35

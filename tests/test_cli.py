@@ -121,6 +121,29 @@ def test_missing_input_file_is_input_error(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "demo"])
+def test_missing_output_directory_fails_before_sampling(tmp_path, capsys, monkeypatch,
+                                                        command):
+    from partialfree import analysis
+
+    def sentinel(config):
+        raise AssertionError("run_analysis was called")
+
+    monkeypatch.setattr(analysis, "run_analysis", sentinel)
+    if command == "analyze":
+        path = tmp_path / "pairs.jsonl"
+        _write_diagonal_pairs(path, t=40, n=3)
+        argv = ["analyze", "--input", str(path)]
+    else:
+        argv = ["demo", "arcsine", "--t", "40"]
+    output = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(output))
+    assert code == 3
+    assert out == ""
+    assert err == f"input error: {output}: the directory does not exist\n"
+    assert not output.parent.exists()
+
+
 def test_non_utf8_input_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "pairs.jsonl"
     record = json.dumps({"A": [[1.0]], "B": [[2.0]]}).encode()
@@ -440,3 +463,10 @@ def test_no_run_imports_numpy_ma(tmp_path):
          str(tmp_path / "report.json")],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_other_output_write_errors_keep_their_message(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "demo", "arcsine", "--t", "40", "--output", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: [Errno ") and str(tmp_path) in err

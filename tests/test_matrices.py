@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -462,3 +463,78 @@ def test_from_file_errors_carry_line_numbers(tmp_path):
 
     with pytest.raises(InputError):
         EnsembleSpec.from_file(str(tmp_path / "missing.jsonl"))
+
+
+def _generated_specs():
+    for n in (1, 3, 8):
+        yield EnsembleSpec.goe(n, seed=n)
+        yield EnsembleSpec.gaussian_diagonal(n, seed=n)
+        yield EnsembleSpec.tridiagonal_adjacency(n, seed=n, circulant=True)
+        yield EnsembleSpec.tridiagonal_adjacency(n, seed=n, circulant=False)
+    for n in (2, 4, 10):
+        yield EnsembleSpec.pauli_block_pair(n)
+    yield EnsembleSpec.rotation_pair(seed=3)
+
+
+@pytest.mark.parametrize("spec", list(_generated_specs()),
+                         ids=lambda s: f"{s.variant}-{s.dimension}-{s.circulant}")
+def test_generated_pairs_pass_the_checks_they_skip(spec):
+    # sample_pair builds these pairs without MatrixPairSample's checks
+    n = spec.dimension
+    for i in range(200):
+        pair = sample_pair(spec, i)
+        for m in (pair.a, pair.b):
+            assert m.dtype == np.float64 and m.shape == (n, n)
+            assert np.isfinite(m).all()
+            assert np.array_equal(m, m.T)
+        checked = MatrixPairSample(pair.a, pair.b)
+        assert checked.a is pair.a and checked.b is pair.b
+
+
+def _goe_lines(count=35, n=3, seed=5):
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(count):
+        ga, gb = rng.standard_normal((2, n, n))
+        lines.append(json.dumps({"A": ((ga + ga.T) / 2).tolist(),
+                                 "B": ((gb + gb.T) / 2).tolist()}).encode())
+    return lines
+
+
+_NEWLINE_COPIES = {
+    "lf": (b"", b"\n"),
+    "bom-lf": (b"\xef\xbb\xbf", b"\n"),
+    "crlf": (b"", b"\r\n"),
+    "bom-crlf": (b"\xef\xbb\xbf", b"\r\n"),
+    "cr": (b"", b"\r"),
+}
+
+
+@pytest.mark.parametrize("copy", sorted(_NEWLINE_COPIES))
+def test_line_endings_and_byte_order_mark_read_alike(tmp_path, copy):
+    bom, eol = _NEWLINE_COPIES[copy]
+    lines = _goe_lines()
+    plain = tmp_path / "plain.jsonl"
+    plain.write_bytes(b"\n".join(lines) + b"\n")
+    want = load_pair_file(str(plain))
+    path = tmp_path / f"{copy}.jsonl"
+    path.write_bytes(bom + eol.join(lines) + eol)
+    got = load_pair_file(str(path))
+    assert len(got) == len(want) == 35
+    for g, w in zip(got, want):
+        assert np.array_equal(g.a, w.a) and np.array_equal(g.b, w.b)
+
+    for bad, message in ((b"not json", "invalid JSON"),
+                         (b'{"A": [[1.0]], "B": [[2.\xff]]}', "not UTF-8 text (byte 0xff)")):
+        broken = tmp_path / f"{copy}-broken.jsonl"
+        broken.write_bytes(bom + eol.join(lines[:4] + [bad] + lines[5:]) + eol)
+        with pytest.raises(InputError, match=rf"line 5: {re.escape(message)}"):
+            load_pair_file(str(broken))
+
+
+def test_byte_order_mark_is_stripped_from_line_one_only(tmp_path):
+    line = json.dumps({"A": [[1.0]], "B": [[2.0]]}).encode()
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes(line + b"\n\xef\xbb\xbf" + line + b"\n")
+    with pytest.raises(InputError, match="line 2: invalid JSON"):
+        load_pair_file(str(path))

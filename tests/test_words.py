@@ -1,3 +1,5 @@
+from itertools import groupby, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from partialfree.words import (
     word_multiplicity,
 )
 
-from oracles import rotation_classes
+from oracles import rotation_classes, rotation_classes_bytes
 
 
 def test_necklace_count_examples():
@@ -121,3 +123,18 @@ def test_representative_is_least_rotation():
     for neck in enumerate_necklaces(7, 2):
         s = neck.word.symbols
         assert s == min(s[i:] + s[:i] for i in range(len(s)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_integer_rotation_oracle_matches_string_oracle(k):
+    for n in range(1, 9):
+        want = {bytes(canon): size for canon, size in rotation_classes(n, k).items()}
+        assert rotation_classes_bytes(n, k) == want, n
+
+
+def test_from_symbols_blocks_match_run_merged_blocks():
+    for k in (1, 2, 3):
+        for n in range(7):
+            for symbols in product(range(k), repeat=n):
+                runs = tuple((s, len(list(run))) for s, run in groupby(symbols))
+                assert Word.from_symbols(symbols, k).blocks == Word(runs, k).blocks
