@@ -12,6 +12,7 @@ import codecs
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -520,14 +521,8 @@ def _letter(stack: np.ndarray, diagonal: bool, previous: _Powers | None) -> _Pow
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of stacked factors: (c, n) diagonal rows or (c, n, n) matrices."""
-    if x.ndim == 2 and y.ndim == 2:
-        return x * y
-    if x.ndim == 2:
-        return x[:, :, None] * y
-    if y.ndim == 2:
-        return x * y[:, None, :]
-    return np.matmul(x, y)
+    """Product of stacked factors of one kind: (c, n) diagonal rows or (c, n, n) matrices."""
+    return x * y if x.ndim == 2 else np.matmul(x, y)
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
@@ -535,16 +530,16 @@ def _trace(x: np.ndarray) -> np.ndarray:
 
 
 def _trace_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """tr(P X) per stack entry without forming the product."""
-    spec = {(2, 2): "ci,ci->c", (2, 3): "ci,cii->c",
-            (3, 2): "cii,ci->c", (3, 3): "cij,cji->c"}[p.ndim, x.ndim]
-    return np.einsum(spec, p, x)
+    """tr(P X) per stack entry without forming the product; P and X of one kind."""
+    return np.einsum("ci,ci->c" if p.ndim == 2 else "cij,cji->c", p, x)
 
 
 class WordTracePlan:
     """Raw normalized traces tr(W)/N of a fixed list of two-letter words.
 
-    The words are visited in lexicographic order of their blocks, so words
+    This plan serves stacks whose letters are of one kind, both dense or
+    both diagonal; ``SplitTracePlan`` serves the mixed stacks.  The words
+    are visited in lexicographic order of their blocks, so words
     sharing a block prefix are adjacent and each prefix product is formed
     once per stack of pairs; the last block is folded into the trace instead
     of multiplied on.  A stack holds the current prefix's products, so at
@@ -588,6 +583,147 @@ class WordTracePlan:
         return out
 
 
+def _least(pieces: tuple) -> tuple:
+    """The key a product is kept under: its pieces or their reverse, whichever is less.
+
+    Every factor is symmetric, so the product of the reversed pieces is the
+    transpose of the product.
+    """
+    return min(pieces, pieces[::-1])
+
+
+def _split(exponents: list) -> tuple:
+    """(P, Q, a_i, a_j) of the cycle D^a_1 M^b_1 ... D^a_m M^b_m, m >= 2.
+
+    ``exponents`` is (a_1, b_1, ..., a_m, b_m).  Cutting the cycle at the
+    diagonal blocks a_i and a_j leaves the pieces P (from a_i to a_j) and Q
+    (from a_j back to a_i), each an alternating run b, a, ..., b.  Each cut
+    is listed with its transposed form (reversed Q, reversed P), which has
+    the same trace.  The form taken halves the word's letters most nearly,
+    so its pieces are short and shared by many words; ties go to the least
+    pieces, so every word that a cut serves names it by the same form.
+    """
+    forms = []
+    for i in range(0, len(exponents), 2):
+        cycle = exponents[i:] + exponents[:i]
+        for j in range(2, len(cycle), 2):
+            p, q = tuple(cycle[1:j]), tuple(cycle[j + 1:])
+            forms += [(p, q, cycle[0], cycle[j]), (q[::-1], p[::-1], cycle[0], cycle[j])]
+    return min(forms, key=lambda f: (sum(f[0]) ** 2 + sum(f[1]) ** 2,
+                                     len(f[0]), f[0], len(f[1]), f[1]))
+
+
+def _chain(pieces: tuple) -> set:
+    """Keys of the products that build ``pieces``: its own and its prefixes'.
+
+    A product of pieces b, a, ..., b' is built from the product of all but
+    its last two pieces; a single piece is a power of M and needs none.
+    """
+    keys = set()
+    while len(pieces) > 1:
+        pieces = _least(pieces)
+        keys.add(pieces)
+        pieces = pieces[:-2]
+    return keys
+
+
+class SplitTracePlan:
+    """Raw normalized traces tr(W)/N when one letter is diagonal and the other dense.
+
+    With d the diagonal letter's diagonal and M the dense letter, a word
+    with one diagonal block traces as d^a . diag(M^b), and a word with
+    m >= 2 of them is a sum over closed two-site paths: cut at two diagonal
+    blocks (``_split``),
+
+        tr(D^a_i P D^a_j Q) = (d^a_i)^T (P o Q^T) d^a_j,
+
+    with o the entrywise product.  A word with two diagonal blocks needs no
+    matrix product; for m >= 3, P or Q is a "sandwich" product
+    M^b D^a M^b' ..., built from its prefix with one matmul (``_chain``) and
+    kept under ``_least``, so words share it in either orientation.  Words
+    with the same (P, Q) form a group: H = P o Q^T is formed once, and two
+    batched matmuls of the stacked powers of d with H give every (a_i, a_j)
+    of the group.  Groups are visited in order of Q, so a product and its
+    extensions serve adjacent groups, and a product lives only while the
+    next group needs it, as a prefix stack would hold it: no more products
+    are alive at a time than build one group's two pieces, and none
+    outlives the call.  Every step batches over the stack axis only,
+    so each pair's traces are a function of that pair, and the powers come
+    from ``_Powers``, so the pure words trace as in ``WordTracePlan``, bit
+    for bit.  The plan is immutable and can be shared between threads.
+    """
+
+    def __init__(self, words, diagonal_letter: int):
+        self.size = len(words)
+        self.diagonal_letter = diagonal_letter
+        # (column, block or None for the empty word) of the one-letter words;
+        # (column, a, b) of the words with one diagonal block
+        self.pure, self.single = [], []
+        groups: dict[tuple, list] = {}
+        for column, word in enumerate(words):
+            blocks = word.blocks
+            if len(blocks) <= 1:
+                self.pure.append((column, blocks[0] if blocks else None))
+                continue
+            start = next(i for i, (letter, _) in enumerate(blocks) if letter == diagonal_letter)
+            exponents = [e for _, e in blocks[start:] + blocks[:start]]
+            if len(exponents) == 2:
+                self.single.append((column, *exponents))
+                continue
+            p, q, a_i, a_j = _split(exponents)
+            groups.setdefault((p, q), []).append((a_i, a_j, column))
+        # visited by the least form of Q, so a product and its extensions
+        # serve adjacent groups; a product is kept only while the next group
+        # needs it, and built again if a later one does
+        order = sorted(groups, key=lambda pq: (_least(pq[1]), _least(pq[0])))
+        needs = [set()] + [_chain(p) | _chain(q) for p, q in order] + [set()]
+        # per group: (P, Q, products to build, products to drop after it,
+        # exponents a_i, exponents a_j, (row, column, trace column) per word)
+        self.groups = []
+        for g, (p, q) in enumerate(order, start=1):
+            rows = sorted({a_i for a_i, _, _ in groups[p, q]})
+            cols = sorted({a_j for _, a_j, _ in groups[p, q]})
+            entries = [(rows.index(a_i), cols.index(a_j), column)
+                       for a_i, a_j, column in groups[p, q]]
+            build = sorted(needs[g] - needs[g - 1], key=len)
+            self.groups.append((p, q, build, needs[g] - needs[g + 1], rows, cols, entries))
+
+    def traces(self, pa: _Powers, pb: _Powers, count: int) -> np.ndarray:
+        """Rows of tr(W)/N, one per pair of a stack of ``count`` pairs with letters pa, pb."""
+        pd, pm = (pb, pa) if self.diagonal_letter else (pa, pb)
+        dimension = pm.matrices.shape[-1]
+        out = np.empty((count, self.size))
+        for column, block in self.pure:
+            if block is None:
+                out[:, column] = 1.0
+            else:
+                x = (pb if block[0] else pa).power(block[1])
+                out[:, column] = _trace(x) / dimension
+        for column, a, b in self.single:
+            out[:, column] = np.einsum("ci,cii->c", pd.power(a), pm.power(b)) / dimension
+        built: dict[tuple, np.ndarray] = {}
+
+        def product(pieces):
+            if len(pieces) == 1:
+                return pm.power(pieces[0])
+            key = _least(pieces)
+            return built[key] if key == pieces else np.swapaxes(built[key], 1, 2)
+
+        for p, q, build, drop, rows, cols, entries in self.groups:
+            for key in build:
+                built[key] = np.matmul(product(key[:-2]) * pd.power(key[-2])[:, None, :],
+                                       pm.power(key[-1]))
+            h = product(p) * np.swapaxes(product(q), 1, 2)
+            left = np.stack([pd.power(a) for a in rows], axis=1)
+            right = np.stack([pd.power(a) for a in cols], axis=2)
+            paths = np.matmul(np.matmul(left, h), right)
+            for row, col, column in entries:
+                out[:, column] = paths[:, row, col] / dimension
+            for key in drop:
+                del built[key]
+        return out
+
+
 @dataclass(frozen=True)
 class SampleTables:
     """The raw observations of one sampling pass (row i = sample i).
@@ -613,12 +749,15 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
 
     ``draw(i)`` returns the i-th of ``count`` pairs of the given dimension.
     Each pair yields one row of raw traces of ``words`` (least rotations
-    over A and B, see ``WordTracePlan``), the spectrum of
-    A + B if ``with_sums``, ``free_rotations`` free-rotated sum spectra and,
-    if ``with_classical``, its permuted sum spectrum; the rotations and
+    over A and B), the spectrum of A + B if ``with_sums``,
+    ``free_rotations`` free-rotated sum spectra and, if
+    ``with_classical``, its permuted sum spectrum; the rotations and
     permutations come from the per-index streams of ``seed``.  Pairs are
     drawn one index at a time but processed as stacks (``_stack_groups``),
-    one numpy call per step for the whole stack.  With ``threads`` > 1 (and
+    one numpy call per step for the whole stack.  The stack's diagonal flags
+    pick the trace kernel: ``SplitTracePlan`` when exactly one letter is
+    diagonal, ``WordTracePlan`` otherwise; each plan is built once, when the
+    first stack of its kind appears.  With ``threads`` > 1 (and
     at least two indices per thread) contiguous chunks of indices run on a
     thread pool, and the first failing chunk in index order raises, so the
     error is the one a serial loop would meet first.  Every quantity is a
@@ -626,11 +765,21 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     ``threads`` nor on how the stacks are cut.
     """
     words = list(words)
-    plan = WordTracePlan(words)
-    traces = np.empty((count, plan.size))
+    traces = np.empty((count, len(words)))
     sums = np.empty((count, dimension)) if with_sums else None
     free_pool = np.empty((count * free_rotations, dimension)) if free_rotations else None
     classical_pool = np.empty((count, dimension)) if with_classical else None
+
+    # plans by the diagonal letter of a mixed stack, None for one kind
+    plans: dict[int | None, WordTracePlan | SplitTracePlan] = {}
+    plans_lock = threading.Lock()
+
+    def plan_for(diagonal):
+        kind = diagonal.index(True) if diagonal[0] != diagonal[1] else None
+        with plans_lock:
+            if kind not in plans:
+                plans[kind] = WordTracePlan(words) if kind is None else SplitTracePlan(words, kind)
+            return plans[kind]
 
     def run_chunk(indices):
         pa = pb = None
@@ -641,7 +790,7 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                 pa, pb = _letter(a, diagonal[0], pa), _letter(b, diagonal[1], pb)
                 if sums is not None:
                     sums[at] = _eigenvalues(a + b, all(diagonal))
-                traces[at] = plan.traces(pa, pb, len(at))
+                traces[at] = plan_for(diagonal).traces(pa, pb, len(at))
                 for j in range(free_rotations):
                     z = np.stack([stream(seed, i, _FREE_STREAM, j).standard_normal(
                         a.shape[1:]) for i in at])

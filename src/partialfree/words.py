@@ -62,7 +62,7 @@ def canonical_blocks(blocks) -> tuple:
     return tuple((letter, len(tuple(run))) for letter, run in groupby(best))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A cyclic word stored as (letter, exponent) blocks.
 
@@ -143,7 +143,19 @@ class Word:
         return self.to_string() or "<empty>"
 
 
-@dataclass(frozen=True)
+def _least_rotation_word(symbols: tuple, k: int) -> Word:
+    """Word of a least rotation over ``k`` letters; its runs are its blocks, not re-checked.
+
+    A least rotation with two or more letters ends with a letter other than
+    its first, so its runs need no merge across the cyclic wrap.
+    """
+    word = object.__new__(Word)
+    object.__setattr__(word, "blocks", tuple((s, len(tuple(run))) for s, run in groupby(symbols)))
+    object.__setattr__(word, "k", k)
+    return word
+
+
+@dataclass(frozen=True, slots=True)
 class Necklace:
     """A rotation class: canonical representative plus class size."""
 
@@ -205,8 +217,9 @@ def enumerate_necklaces(n: int, k: int, fold_reflections: bool = False) -> list[
         raise ResourceLimitError(
             f"there are {count} necklaces of length n = {n} over k = {k} letters, "
             f"more than the bound of 2^20 = {_MAX_NECKLACES}")
+    # FKM yields least rotations
     necklaces = [
-        Necklace(Word.from_symbols(symbols, k), period)
+        Necklace(_least_rotation_word(symbols, k), period)
         for symbols, period in _fkm_necklaces(n, k)
     ]
     if not fold_reflections:
@@ -221,7 +234,7 @@ def enumerate_necklaces(n: int, k: int, fold_reflections: bool = False) -> list[
             folded[key] = 0
             order.append(key)
         folded[key] += neck.multiplicity
-    return [Necklace(Word.from_symbols(key, k), folded[key]) for key in order]
+    return [Necklace(_least_rotation_word(key, k), folded[key]) for key in order]
 
 
 def word_expansion(n: int, k: int = 2) -> list[Necklace]:

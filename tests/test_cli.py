@@ -284,13 +284,21 @@ def _goe_pair(rng, n):
     return a / np.sqrt(2 * n), b / np.sqrt(2 * n)
 
 
-@pytest.mark.parametrize("kind, n, k", [("commuting", 3, "6"), ("goe", 16, "10")])
+def _scan_records(rng, kind, n):
+    if kind == "commuting":
+        return np.diag(rng.standard_normal(n)), np.diag(rng.standard_normal(n))
+    if kind == "diagonal-goe":
+        return np.diag(rng.standard_normal(n)), _goe_pair(rng, n)[1]
+    return _goe_pair(rng, n)
+
+
+@pytest.mark.parametrize("kind, n, k", [("commuting", 3, "6"), ("goe", 16, "10"),
+                                        ("diagonal-goe", 6, "6")])
 def test_scan_is_invariant_under_rescaling_the_pairs(tmp_path, capsys, kind, n, k):
     # every order-k statistic and its noise floor scale as s^k, so powers of
     # two leave every test bit for bit as it was
     rng = np.random.default_rng(71)
-    records = [(np.diag(rng.standard_normal(n)), np.diag(rng.standard_normal(n)))
-               if kind == "commuting" else _goe_pair(rng, n) for _ in range(40)]
+    records = [_scan_records(rng, kind, n) for _ in range(40)]
 
     def scan(scale):
         path = tmp_path / f"pairs{scale}.jsonl"
@@ -306,13 +314,14 @@ def test_scan_is_invariant_under_rescaling_the_pairs(tmp_path, capsys, kind, n, 
                  for w in report["words"]])
 
     unit = scan(1.0)
-    if kind == "commuting":
-        assert unit[0] == 4
+    if kind != "goe":
+        # the diagonal A against the GOE B flags mixed words of order 6
+        assert unit[0] == (4 if kind == "commuting" else 6)
     for e in (-20, -10, 10):
         assert scan(2.0**e) == unit, e
 
 
-@pytest.mark.parametrize("kind", ["cancelling", "1.5e308"])
+@pytest.mark.parametrize("kind", ["cancelling", "1.5e308", "diagonal-1e200"])
 def test_non_finite_statistics_end_in_exit_3(tmp_path, capsys, kind):
     # Tier-1 turns RuntimeWarnings into errors, so a warning from the
     # sampling pass or the statistics would end in a traceback here
@@ -323,6 +332,11 @@ def test_non_finite_statistics_end_in_exit_3(tmp_path, capsys, kind):
             # A + B cancels, but the jackknife of the order-2K moments overflows
             g = rng.standard_normal(2)
             records.append((np.diag([1e60, *g]), np.diag([-1e60, *g])))
+        elif kind == "diagonal-1e200":
+            # a diagonal A against a dense B: its square overflows in every
+            # word trace of order 2 and up
+            g = rng.standard_normal(2)
+            records.append((np.diag([1e200, *g]), _goe_pair(rng, 3)[1]))
         else:
             a, b = _goe_pair(rng, 3)
             a[0, 0] = b[0, 0] = 1.5e308
@@ -334,6 +348,8 @@ def test_non_finite_statistics_end_in_exit_3(tmp_path, capsys, kind):
     assert code == 3
     assert out == ""
     assert err.startswith("input error: non-finite") and "at order" in err
+    if kind == "diagonal-1e200":
+        assert "non-finite sample word trace at order 2" in err
     assert err.count("\n") == 1
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -331,17 +332,37 @@ def test_word_trace_table_centered_columns():
         assert centered_table[i, 3] == pytest.approx(centered)
 
 
-@pytest.mark.parametrize("spec", [
-    EnsembleSpec.goe(6, seed=41),
-    EnsembleSpec.gaussian_diagonal(6, seed=42),
-    EnsembleSpec.tridiagonal_adjacency(8, seed=43),
-], ids=lambda spec: spec.variant)
-def test_word_traces_match_block_power_oracle(spec):
+def _goe_against_diagonal(i):
+    # dense A against diagonal B: the least rotations start with A, and the
+    # mixed kernel cuts each word at its B blocks
+    pair = sample_pair(EnsembleSpec.goe(6, seed=47), i)
+    return MatrixPairSample(pair.a, np.diag(stream(47, i).standard_normal(6)))
+
+
+def _shared_diagonal(i):
+    # one diagonal A for every pair, so it broadcasts against the dense B
+    return MatrixPairSample(np.diag(stream(48, 0).standard_normal(6)),
+                            sample_pair(EnsembleSpec.goe(6, seed=48), i).b)
+
+
+@pytest.mark.parametrize("draw", [
+    pytest.param(partial(sample_pair, EnsembleSpec.goe(6, seed=41)), id="goe"),
+    pytest.param(partial(sample_pair, EnsembleSpec.gaussian_diagonal(6, seed=42)),
+                 id="gaussian-diagonal"),
+    pytest.param(partial(sample_pair, EnsembleSpec.tridiagonal_adjacency(8, seed=43)),
+                 id="tridiagonal-adjacency"),
+    pytest.param(partial(sample_pair,
+                         EnsembleSpec.tridiagonal_adjacency(8, seed=43, circulant=False)),
+                 id="open-chain"),
+    pytest.param(_goe_against_diagonal, id="goe-against-diagonal"),
+    pytest.param(_shared_diagonal, id="shared-diagonal"),
+])
+def test_word_traces_match_block_power_oracle(draw):
     # raw kernel plus the centering map against explicit block products,
     # for every necklace through order 8
-    samples = [sample_pair(spec, i) for i in range(3)]
+    samples = [draw(i) for i in range(3)]
     words = [Word.empty()] + [n.word for k in range(1, 9) for n in word_expansion(k, 2)]
-    n = spec.dimension
+    n = samples[0].dimension
     mu_a, mu_b = (
         np.mean([[np.trace(np.linalg.matrix_power(m, e)) / n for e in range(9)]
                  for m in matrices], axis=0)
@@ -355,6 +376,24 @@ def test_word_traces_match_block_power_oracle(spec):
             assert abs(raw[i, j] - want) <= 1e-10 * max(1.0, abs(want)), word
             want = block_power_trace(word.blocks, pair.a, pair.b, (mu_a, mu_b))
             assert abs(centered[i, j] - want) <= 1e-10 * max(1.0, abs(want)), word
+
+
+@pytest.mark.parametrize("draw", [
+    pytest.param(partial(sample_pair, EnsembleSpec.tridiagonal_adjacency(8, seed=43)),
+                 id="tridiagonal-adjacency"),
+    pytest.param(_goe_against_diagonal, id="goe-against-diagonal"),
+])
+def test_mixed_kernel_reads_reversed_products(draw):
+    # from order 10 on, a word may need a sandwich product in the reverse of
+    # the orientation it is kept in (ABABABBABB reads pieces 2, 1, 1 of the
+    # product kept as 1, 1, 2), which the kernel takes as the transpose
+    samples = [draw(i) for i in range(3)]
+    words = [n.word for n in word_expansion(10, 2) if len(n.word.blocks) >= 6]
+    raw = word_trace_table(samples, words)
+    for i, pair in enumerate(samples):
+        for j, word in enumerate(words):
+            want = block_power_trace(word.blocks, pair.a, pair.b)
+            assert abs(raw[i, j] - want) <= 1e-10 * max(1.0, abs(want)), word
 
 
 def test_table_words_are_least_rotations():
