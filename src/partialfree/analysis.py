@@ -257,22 +257,26 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
     return rows
 
 
-def _word_family_size(order: int) -> int:
-    return sum(necklace_count(k, 2) for k in range(1, order + 1))
-
-
 # cells of the raw and centered trace tables plus the centering map: 4 GiB
 _TABLE_CELLS_LIMIT = 1 << 29
 
 
 def _require_tables_fit(order: int, t: int) -> None:
-    """ResourceLimitError, before any sampling, when the order's tables cannot fit."""
-    width = 1 + _word_family_size(order)
-    if (2 * t + width) * width > _TABLE_CELLS_LIMIT:
-        raise ResourceLimitError(
-            f"scan order K = {order} needs W = {width} words; the trace tables and "
-            f"centering map, (2t + W)W cells at t = {t}, exceed the bound of "
-            f"2^29 = {_TABLE_CELLS_LIMIT} cells")
+    """ResourceLimitError, before any sampling, when the order's tables cannot fit.
+
+    W only grows with the order, so the words are counted order by order
+    and the count stops at the first order whose words pass the bound.
+    """
+    width = 1
+    for k in range(1, order + 1):
+        width += necklace_count(k, 2)
+        if (2 * t + width) * width > _TABLE_CELLS_LIMIT:
+            words = (f"W = {width} words" if k == order else
+                     f"more than W = {width} words (those through order {k})")
+            raise ResourceLimitError(
+                f"scan order K = {order} needs {words}; the trace tables and "
+                f"centering map, (2t + W)W cells at t = {t}, exceed the bound of "
+                f"2^29 = {_TABLE_CELLS_LIMIT} cells")
 
 
 def _sample_words(draw, count: int, dimension: int, order: int, threads: int,

@@ -613,18 +613,20 @@ def _split(exponents: list) -> tuple:
                                      len(f[0]), f[0], len(f[1]), f[1]))
 
 
-def _chain(pieces: tuple) -> set:
-    """Keys of the products that build ``pieces``: its own and its prefixes'.
+def _product(pieces: tuple, pd: _Powers, pm: _Powers, built: dict) -> np.ndarray:
+    """The product M^b D^a ... M^b' of the alternating exponents ``pieces`` b, a, ..., b'.
 
-    A product of pieces b, a, ..., b' is built from the product of all but
-    its last two pieces; a single piece is a power of M and needs none.
+    A single piece is a power of M.  A longer product is built once per
+    ``built`` memo, from its prefix with one matmul, kept under ``_least``
+    and read transposed for the reversed pieces.
     """
-    keys = set()
-    while len(pieces) > 1:
-        pieces = _least(pieces)
-        keys.add(pieces)
-        pieces = pieces[:-2]
-    return keys
+    if len(pieces) == 1:
+        return pm.power(pieces[0])
+    key = _least(pieces)
+    if key not in built:
+        prefix = _product(key[:-2], pd, pm, built)
+        built[key] = np.matmul(prefix * pd.power(key[-2])[:, None, :], pm.power(key[-1]))
+    return built[key] if key == pieces else np.swapaxes(built[key], 1, 2)
 
 
 class SplitTracePlan:
@@ -639,18 +641,18 @@ class SplitTracePlan:
 
     with o the entrywise product.  A word with two diagonal blocks needs no
     matrix product; for m >= 3, P or Q is a "sandwich" product
-    M^b D^a M^b' ..., built from its prefix with one matmul (``_chain``) and
-    kept under ``_least``, so words share it in either orientation.  Words
-    with the same (P, Q) form a group: H = P o Q^T is formed once, and two
-    batched matmuls of the stacked powers of d with H give every (a_i, a_j)
-    of the group.  Groups are visited in order of Q, so a product and its
-    extensions serve adjacent groups, and a product lives only while the
-    next group needs it, as a prefix stack would hold it: no more products
-    are alive at a time than build one group's two pieces, and none
-    outlives the call.  Every step batches over the stack axis only,
-    so each pair's traces are a function of that pair, and the powers come
-    from ``_Powers``, so the pure words trace as in ``WordTracePlan``, bit
-    for bit.  The plan is immutable and can be shared between threads.
+    M^b D^a M^b' ... (``_product``), built from its prefix with one matmul
+    and kept under ``_least``, so words share it in either orientation.
+    Words with the same (P, Q) form a group: H = P o Q^T is formed once, and
+    two batched matmuls of the stacked powers of d with H give every
+    (a_i, a_j) of the group.  Each sandwich product is built once per stack
+    and lives until the stack's traces are done, and none outlives the
+    call: for the scan's words, 2, 6, 16 and 31 products at K = 8, 10, 12
+    and 14, each of max(2^16, n^2) doubles at most.  Every step batches
+    over the stack axis only, so each pair's traces are a function of that
+    pair, and the powers come from ``_Powers``, so the pure words trace as
+    in ``WordTracePlan``, bit for bit.  The plan is immutable and can be
+    shared between threads.
     """
 
     def __init__(self, words, diagonal_letter: int):
@@ -672,21 +674,15 @@ class SplitTracePlan:
                 continue
             p, q, a_i, a_j = _split(exponents)
             groups.setdefault((p, q), []).append((a_i, a_j, column))
-        # visited by the least form of Q, so a product and its extensions
-        # serve adjacent groups; a product is kept only while the next group
-        # needs it, and built again if a later one does
-        order = sorted(groups, key=lambda pq: (_least(pq[1]), _least(pq[0])))
-        needs = [set()] + [_chain(p) | _chain(q) for p, q in order] + [set()]
-        # per group: (P, Q, products to build, products to drop after it,
-        # exponents a_i, exponents a_j, (row, column, trace column) per word)
+        # per group: (P, Q, exponents a_i, exponents a_j,
+        # (row, column, trace column) per word)
         self.groups = []
-        for g, (p, q) in enumerate(order, start=1):
-            rows = sorted({a_i for a_i, _, _ in groups[p, q]})
-            cols = sorted({a_j for _, a_j, _ in groups[p, q]})
+        for (p, q), members in groups.items():
+            rows = sorted({a_i for a_i, _, _ in members})
+            cols = sorted({a_j for _, a_j, _ in members})
             entries = [(rows.index(a_i), cols.index(a_j), column)
-                       for a_i, a_j, column in groups[p, q]]
-            build = sorted(needs[g] - needs[g - 1], key=len)
-            self.groups.append((p, q, build, needs[g] - needs[g + 1], rows, cols, entries))
+                       for a_i, a_j, column in members]
+            self.groups.append((p, q, rows, cols, entries))
 
     def traces(self, pa: _Powers, pb: _Powers, count: int) -> np.ndarray:
         """Rows of tr(W)/N, one per pair of a stack of ``count`` pairs with letters pa, pb."""
@@ -702,25 +698,13 @@ class SplitTracePlan:
         for column, a, b in self.single:
             out[:, column] = np.einsum("ci,cii->c", pd.power(a), pm.power(b)) / dimension
         built: dict[tuple, np.ndarray] = {}
-
-        def product(pieces):
-            if len(pieces) == 1:
-                return pm.power(pieces[0])
-            key = _least(pieces)
-            return built[key] if key == pieces else np.swapaxes(built[key], 1, 2)
-
-        for p, q, build, drop, rows, cols, entries in self.groups:
-            for key in build:
-                built[key] = np.matmul(product(key[:-2]) * pd.power(key[-2])[:, None, :],
-                                       pm.power(key[-1]))
-            h = product(p) * np.swapaxes(product(q), 1, 2)
+        for p, q, rows, cols, entries in self.groups:
+            h = _product(p, pd, pm, built) * np.swapaxes(_product(q, pd, pm, built), 1, 2)
             left = np.stack([pd.power(a) for a in rows], axis=1)
             right = np.stack([pd.power(a) for a in cols], axis=2)
             paths = np.matmul(np.matmul(left, h), right)
             for row, col, column in entries:
                 out[:, column] = paths[:, row, col] / dimension
-            for key in drop:
-                del built[key]
         return out
 
 

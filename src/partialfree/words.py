@@ -214,8 +214,11 @@ def enumerate_necklaces(n: int, k: int, fold_reflections: bool = False) -> list[
     """
     count = necklace_count(n, k)
     if count > _MAX_NECKLACES:
+        # past 2^64 the count is named by its power of two: Python refuses to
+        # format an integer of more than 4300 digits
+        size = count if count < 1 << 64 else f"at least 2^{count.bit_length() - 1}"
         raise ResourceLimitError(
-            f"there are {count} necklaces of length n = {n} over k = {k} letters, "
+            f"there are {size} necklaces of length n = {n} over k = {k} letters, "
             f"more than the bound of 2^20 = {_MAX_NECKLACES}")
     # FKM yields least rotations
     necklaces = [

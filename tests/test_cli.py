@@ -49,6 +49,19 @@ def test_necklaces_beyond_the_class_bound_is_resource_limit(capsys):
     assert "27487816992 necklaces" in err and "n = 40" in err and "k = 2" in err
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["necklaces", "100000", "2"], "2^20"),
+    (["demo", "pauli", "--n", "8", "--k", "15000", "--threads", "1"], "2^29"),
+])
+def test_counts_past_the_formatting_limit_exit_promptly(capsys, argv, bound):
+    # the counts have far more than Python's 4300 printable digits; the table
+    # bound stops counting words at the first order past it
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert bound in err
+
+
 def test_convolve_free(capsys):
     code, out, _ = run_cli(capsys, "convolve", "--free",
                            "--moments-a", "1,0,1,0,1,0,1,0,1",

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from partialfree.matrices import (
     sample_free_sum_spectrum,
     sample_pair,
     sample_sum_spectrum,
+    sample_tables,
     stream,
     symmetric_eigenvalues,
     word_trace_table,
@@ -394,6 +396,51 @@ def test_mixed_kernel_reads_reversed_products(draw):
         for j, word in enumerate(words):
             want = block_power_trace(word.blocks, pair.a, pair.b)
             assert abs(raw[i, j] - want) <= 1e-10 * max(1.0, abs(want)), word
+
+
+@pytest.mark.parametrize("order, products", [(8, 2), (10, 6), (12, 16)])
+def test_split_kernel_builds_each_sandwich_product_once(monkeypatch, order, products):
+    # one stack of chain pairs: every product M^b D^a M^b' ... that the
+    # groups need is built once and then reused, in either orientation
+    from partialfree import matrices
+    from partialfree.analysis import _table_words
+
+    product, builds, memos = matrices._product, [], []
+
+    def counted(pieces, pd, pm, built):
+        key = matrices._least(pieces)
+        kept = built.get(key)
+        out = product(pieces, pd, pm, built)
+        builds.append(len(pieces) > 1 and built[key] is not kept)
+        memos.append(built)
+        return out
+
+    monkeypatch.setattr(matrices, "_product", counted)
+    draw = partial(sample_pair, EnsembleSpec.tridiagonal_adjacency(8, seed=43))
+    sample_tables(draw, 3, 8, _table_words(order))
+    assert (sum(builds), len(memos[-1])) == (products, products)
+    assert all(memo is memos[0] for memo in memos)
+
+
+def test_sampling_pass_leaves_no_cyclic_garbage():
+    # each stack's letters, powers and products are freed by reference
+    # counting as soon as the stack is done; a reference cycle would keep
+    # its (c, n, n) arrays alive until the cyclic collector runs
+    from partialfree.analysis import _table_words
+
+    words = _table_words(10)
+    runs = [(partial(sample_pair, EnsembleSpec.tridiagonal_adjacency(8, seed=43)), 8),
+            (partial(sample_pair, EnsembleSpec.goe(6, seed=41)), 6)]
+    for draw, n in runs:
+        sample_tables(draw, 3, n, words, threads=1)
+    gc.collect()
+    gc.disable()
+    try:
+        for draw, n in runs:
+            sample_tables(draw, 3, n, words, threads=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_table_words_are_least_rotations():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partialfree.errors import ResourceLimitError
+from partialfree.moments import sum_moment_free
 from partialfree.words import (
     Necklace,
     Word,
@@ -27,6 +29,16 @@ def test_necklace_count_rejects_bad_args():
         necklace_count(0, 2)
     with pytest.raises(ValueError):
         necklace_count(3, 0)
+
+
+def test_counts_past_the_formatting_limit_are_resource_limits():
+    # at least 2^99983 classes, more than 4300 digits: the message gives the power of two
+    with pytest.raises(ResourceLimitError, match=r"at least 2\^99983 necklaces.*2\^20"):
+        enumerate_necklaces(100000, 2)
+    with pytest.raises(ResourceLimitError, match=r"n = 14300"):
+        word_expansion(14300, 2)
+    with pytest.raises(ResourceLimitError, match=r"n = 14300"):
+        sum_moment_free(14300, [1.0, 0.0], [1.0, 0.0])
 
 
 @pytest.mark.parametrize("n", range(1, 13))
