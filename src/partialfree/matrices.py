@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .spectra import DenseSpectra
 from .words import Word
 
 _SYMMETRY_ATOL = 1e-12
@@ -289,7 +290,8 @@ def _haar_from_normals(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d = np.where(d == 0, 1.0, d)
-    return q * d[..., None, :]
+    q *= d[..., None, :]
+    return q
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -335,10 +337,18 @@ def _eigenvalues(stack: np.ndarray, diagonal: bool) -> np.ndarray:
     return np.linalg.eigvalsh(stack)
 
 
-def _free_sum_eigenvalues(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Spectra of a[i] + Q_i b[i] Q_i^T, with Q_i the Haar matrix made from normals z[i]."""
-    q = _haar_from_normals(z)
-    return np.linalg.eigvalsh(a + q @ b @ np.swapaxes(q, -1, -2))
+def _free_sums(a: np.ndarray, b: np.ndarray, rngs, out: np.ndarray) -> np.ndarray:
+    """Write a[i] + Q_i b[i] Q_i^T into out[i], Q_i Haar from normals drawn by rngs[i].
+
+    The normals are drawn into ``out`` itself: the QR reads them before the
+    product overwrites them, so no further stack of n x n matrices is held.
+    """
+    for slot, rng in zip(out, rngs):
+        rng.standard_normal(out=slot)
+    q = _haar_from_normals(out)
+    np.matmul(q @ b, np.swapaxes(q, -1, -2), out=out)
+    out += a
+    return out
 
 
 def sample_sum_spectrum(pair: MatrixPairSample) -> SpectrumSample:
@@ -350,9 +360,8 @@ def sample_free_sum_spectrum(pair: MatrixPairSample,
                              rng: np.random.Generator) -> SpectrumSample:
     """Spectrum of A + Q B Q^T with a fresh Haar-orthogonal Q."""
     n = pair.dimension
-    z = rng.standard_normal((n, n))
-    spectrum = _free_sum_eigenvalues(pair.a[None], pair.b[None], z[None])[0]
-    return SpectrumSample(spectrum, "free-rotated")
+    free_sum = _free_sums(pair.a[None], pair.b[None], [rng], np.empty((1, n, n)))
+    return SpectrumSample(np.linalg.eigvalsh(free_sum)[0], "free-rotated")
 
 
 def sample_classical_sum_spectrum(pair: MatrixPairSample,
@@ -741,12 +750,16 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     one numpy call per step for the whole stack.  The stack's diagonal flags
     pick the trace kernel: ``SplitTracePlan`` when exactly one letter is
     diagonal, ``WordTracePlan`` otherwise; each plan is built once, when the
-    first stack of its kind appears.  With ``threads`` > 1 (and
-    at least two indices per thread) contiguous chunks of indices run on a
-    thread pool, and the first failing chunk in index order raises, so the
-    error is the one a serial loop would meet first.  Every quantity is a
-    function of the index alone, so the tables depend neither on
-    ``threads`` nor on how the stacks are cut.
+    first stack of its kind appears.  The dense sum and free-rotated
+    matrices go to ``spectra.DenseSpectra``, which solves them in calls of
+    more than 500 eigenvalues across the stacks of a chunk, so that numpy
+    releases the GIL while the pool's threads eigensolve; a diagonal sum's
+    spectrum is its sorted diagonal.  With
+    ``threads`` > 1 (and at least two indices per thread) contiguous chunks
+    of indices run on a thread pool, and the first failing chunk in index
+    order raises, so the error is the one a serial loop would meet first.
+    Every quantity is a function of the index alone, so the tables depend
+    neither on ``threads`` nor on how the stacks or batches are cut.
     """
     words = list(words)
     traces = np.empty((count, len(words)))
@@ -767,23 +780,29 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
 
     def run_chunk(indices):
         pa = pb = None
-        for at, a, b, diagonal in _stack_groups(draw, indices, dimension):
-            # errstate is per thread; the finite checks of the tables and of
-            # the statistics derived from them report overflow
-            with np.errstate(over="ignore", invalid="ignore"):
+        spectra = DenseSpectra(dimension)
+        # errstate is per thread; the finite checks of the tables and of
+        # the statistics derived from them report overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for at, a, b, diagonal in _stack_groups(draw, indices, dimension):
                 pa, pb = _letter(a, diagonal[0], pa), _letter(b, diagonal[1], pb)
                 if sums is not None:
-                    sums[at] = _eigenvalues(a + b, all(diagonal))
+                    if all(diagonal):
+                        sums[at] = _eigenvalues(a + b, True)
+                    else:
+                        for out, part in spectra.slots(sums, at):
+                            np.add(a[part], b[part], out=out)
                 traces[at] = plan_for(diagonal).traces(pa, pb, len(at))
                 for j in range(free_rotations):
-                    z = np.stack([stream(seed, i, _FREE_STREAM, j).standard_normal(
-                        a.shape[1:]) for i in at])
-                    free_pool[at * free_rotations + j] = _free_sum_eigenvalues(a, b, z)
+                    for out, part in spectra.slots(free_pool, at * free_rotations + j):
+                        _free_sums(a[part], b[part],
+                                   (stream(seed, i, _FREE_STREAM, j) for i in at[part]), out)
                 if classical_pool is not None:
                     perms = np.stack([stream(seed, i, _CLASSICAL_STREAM).permutation(
                         dimension) for i in at])
                     eb = np.take_along_axis(pb.eigenvalues(), perms, axis=1)
                     classical_pool[at] = np.sort(pa.eigenvalues() + eb, axis=1)
+            spectra.flush()
 
     if threads > 1 and count >= 2 * threads:
         bounds = [count * j // threads for j in range(threads + 1)]

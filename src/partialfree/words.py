@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import gcd
 from string import ascii_uppercase as _LETTERS
 
 from .errors import ResourceLimitError
@@ -22,11 +21,17 @@ _MAX_NECKLACES = 1 << 20
 
 
 def _totient(d: int) -> int:
-    count = 0
-    for m in range(1, d + 1):
-        if gcd(d, m) == 1:
-            count += 1
-    return count
+    """Euler's phi(d) from the prime factors of d, found by trial division."""
+    phi, rest, p = d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
 
 
 def _merged(blocks) -> tuple:
@@ -176,9 +181,14 @@ def necklace_count(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     total = 0
-    for d in range(1, n + 1):
+    d = 1
+    # the divisor pairs (d, n/d) with d <= sqrt(n); a square root counts once
+    while d * d <= n:
         if n % d == 0:
             total += _totient(d) * k ** (n // d)
+            if d * d != n:
+                total += _totient(n // d) * k ** d
+        d += 1
     assert total % n == 0
     return total // n
 

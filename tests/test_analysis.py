@@ -668,9 +668,13 @@ def _mixed_pair_file(path, n=5, t=23, seed=61):
             fh.write(json.dumps({"A": a.tolist(), "B": b.tolist()}) + "\n")
 
 
-@pytest.mark.parametrize("variant", ["goe", "gaussian-diagonal", "tridiagonal", "mixed-file"])
+@pytest.mark.parametrize("variant", ["goe", "goe-24", "gaussian-diagonal", "tridiagonal",
+                                     "mixed-file"])
 def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
-    # stacks of 1, 7 (ragged) and all t pairs give bit-identical raw tables
+    # stacks of 1, 7 (ragged) and all t pairs, on one thread or two, give
+    # bit-identical raw tables: the dense spectra are batched across stacks
+    # up to each chunk's end, and at n = 24 a stack of all t pairs is
+    # solved without the batch
     from partialfree import matrices
     from partialfree.analysis import _table_words
     from partialfree.matrices import sample_tables, word_trace_table
@@ -681,6 +685,7 @@ def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
         spec = EnsembleSpec.from_file(str(tmp_path / "pairs.jsonl"), seed=3)
     else:
         spec = {"goe": EnsembleSpec.goe(6, seed=62),
+                "goe-24": EnsembleSpec.goe(24, seed=65),
                 "gaussian-diagonal": EnsembleSpec.gaussian_diagonal(6, seed=63),
                 "tridiagonal": EnsembleSpec.tridiagonal_adjacency(8, seed=64)}[variant]
     n = spec.dimension
@@ -688,9 +693,10 @@ def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
     tables = []
     for size in (1, 7, t):
         monkeypatch.setattr(matrices, "_CELL_BUDGET", size * n * n)
-        tables.append(sample_tables(lambda i: sample_pair(spec, i), t, n, words, 1,
-                                    with_sums=True, seed=spec.seed, free_rotations=2,
-                                    with_classical=True))
+        for threads in (1, 2):
+            tables.append(sample_tables(lambda i: sample_pair(spec, i), t, n, words, threads,
+                                        with_sums=True, seed=spec.seed, free_rotations=2,
+                                        with_classical=True))
     for other in tables[1:]:
         for field in ("traces", "sums", "free_pool", "classical_pool"):
             assert np.array_equal(getattr(tables[0], field), getattr(other, field)), field
@@ -700,15 +706,42 @@ def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
 
 def test_pipeline_eigensolves_once_per_pair_and_fixed_matrix(monkeypatch):
     # example19: A is diagonal (sorted diagonal, no eigensolve) and the chain
-    # B is eigensolved once, so at most the sum and the rotated sum per pair
+    # B is eigensolved once, so at most the sum and the rotated sum per pair;
+    # the count is of matrices solved, however many calls hold them
     spec = EnsembleSpec.tridiagonal_adjacency(24, seed=7, circulant=True)
     t = 40
-    calls = []
+    solved = []
     real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(len(m)) or real(m))
     run_analysis(AnalysisConfig(ensemble=spec, sample_count=t, order=8, alpha=1e-9,
                                 threads=1))
-    assert 0 < len(calls) <= 2 * t + 1
+    assert 0 < sum(solved) <= 2 * t + 1
+
+
+def test_pool_threads_solve_dense_spectra_in_batches_that_release_the_gil(monkeypatch):
+    # numpy's eigvalsh holds the GIL unless one call returns more than 500
+    # eigenvalues; at n = 200 a stack holds one pair, so each chunk's sums and
+    # rotated sums wait in batches of three, and only a chunk's last call may
+    # be smaller.  The classical pool is off: its one eigensolve of the chain
+    # B per chunk is not batched.
+    import threading
+
+    spec = EnsembleSpec.tridiagonal_adjacency(200, seed=8, circulant=True)
+    t = 31
+    sizes = {}
+    real = np.linalg.eigvalsh
+
+    def counted(m):
+        sizes.setdefault(threading.get_ident(), []).append(m.shape[0] * m.shape[-1])
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    run_analysis(AnalysisConfig(ensemble=spec, sample_count=t, order=4, alpha=1e-9,
+                                include_classical=False, threads=2))
+    assert len(sizes) == 2
+    for chunk in sizes.values():
+        assert all(size > 500 for size in chunk[:-1]), chunk
+    assert sum(map(sum, sizes.values())) == 2 * t * spec.dimension
 
 
 def _write_goe_pairs(path, n=5, t=32, seed=4):

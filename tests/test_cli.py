@@ -52,6 +52,7 @@ def test_necklaces_beyond_the_class_bound_is_resource_limit(capsys):
 @pytest.mark.parametrize("argv, bound", [
     (["necklaces", "100000", "2"], "2^20"),
     (["demo", "pauli", "--n", "8", "--k", "15000", "--threads", "1"], "2^29"),
+    (["necklaces", "10000000", "2"], "2^20"),
 ])
 def test_counts_past_the_formatting_limit_exit_promptly(capsys, argv, bound):
     # the counts have far more than Python's 4300 printable digits; the table

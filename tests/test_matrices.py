@@ -302,6 +302,32 @@ def test_diagonal_eigenvalues_are_the_sorted_diagonal():
             assert np.array_equal(got, want)
 
 
+def test_dense_spectra_batches_give_the_same_bits_wherever_they_are_cut(monkeypatch):
+    # at n = 100 the buffer holds 6 matrices: stacks of 1-4 straddle its end,
+    # a stack of 6 is solved at once, and the chunk's end flushes the rest
+    from partialfree.spectra import DenseSpectra
+
+    n, sizes = 100, [1, 4, 3, 2, 4, 1, 6]
+    g = np.random.default_rng(31).standard_normal((sum(sizes), n, n))
+    want = np.linalg.eigvalsh(g + np.swapaxes(g, 1, 2))
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+    # rows in reverse, so each stack's values land away from its place in the batch
+    rows = np.arange(len(g))[::-1]
+    got = np.full_like(want, np.nan)
+    spectra = DenseSpectra(n)
+    start = 0
+    for size in sizes:
+        stack = g[rows[start:start + size]]
+        for out, part in spectra.slots(got, rows[start:start + size]):
+            np.add(stack[part], np.swapaxes(stack[part], 1, 2), out=out)
+        start += size
+    spectra.flush()
+    assert np.array_equal(got, want)
+    assert calls == [(6, n, n), (6, n, n), (6, n, n), (3, n, n)]
+
+
 def test_rotation_pair_classical_atoms():
     spec = EnsembleSpec.rotation_pair(seed=31)
     draws = 4000

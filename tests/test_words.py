@@ -1,4 +1,5 @@
 from itertools import groupby, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,15 @@ def test_necklace_count_examples():
     assert necklace_count(1, 2) == 2
     assert necklace_count(4, 2) == 6
     assert necklace_count(6, 2) == 14
+
+
+def test_necklace_count_matches_the_gcd_formula():
+    # (1/n) sum_{d | n} phi(d) k^(n/d), with phi(d) counted by gcd over every m <= d
+    for n in range(1, 301):
+        for k in range(1, 6):
+            total = sum(sum(1 for m in range(1, d + 1) if gcd(d, m) == 1) * k ** (n // d)
+                        for d in range(1, n + 1) if n % d == 0)
+            assert necklace_count(n, k) == total // n, (n, k)
 
 
 def test_necklace_count_rejects_bad_args():
