@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, InputError, ResourceLimitError
 from .matrices import (
     _CELL_BUDGET,
     EnsembleSpec,
@@ -81,6 +81,18 @@ def _two_sided_test(diff: float, se: float, floor: float) -> tuple[float, float]
         z = diff / se
         return z, math.erfc(abs(z) / math.sqrt(2.0))
     return math.inf if diff > 0 else -math.inf, 0.0
+
+
+def _require_resolved(values: np.ndarray, se: np.ndarray, what: str, orders) -> None:
+    """InputError naming the order of the first statistic whose SE underflowed.
+
+    Row j of ``values`` holds statistic j over the samples or replicates; an SE
+    below the smallest normal double fails where they differ, not where equal.
+    """
+    bad = np.flatnonzero((se < np.finfo(float).tiny) & (values != values[:, :1]).any(axis=1))
+    if bad.size:
+        raise InputError(f"underflowing standard error of the {what} at order "
+                         f"{orders[bad[0]]}: entries too small for double-precision squares")
 
 
 def _word_floors(words, mu_a, mu_b) -> np.ndarray:
@@ -234,6 +246,7 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
     floors = word_floor + _ROUNDING_RTOL * np.sqrt(m_s.mean(axis=0)[: 2 * order + 1: 2])
     require_finite(np.stack([summed.values, summed.se, predicted, pred_se, diffs, diff_se,
                              floors]), "moment statistic", range(order + 1))
+    _require_resolved(rep_diff[:, 1:], diff_se, "moment difference", range(order + 1))
     free, classical = sampled
     rows = []
     for k in range(1, order + 1):
@@ -319,9 +332,11 @@ class _WordScan:
         self.mu = mu
         self.floors = floors
         self.expansion = centering_map(tables.words, *mu)
-        mean, se = _column_stats(tables.traces @ self.expansion)
+        centered = tables.traces @ self.expansion
+        mean, se = _column_stats(centered)
         require_finite(np.stack([mean, se, self.floors]), "centered word statistic",
                        self.lengths)
+        _require_resolved(centered.T, se, "centered word statistic", self.lengths)
         self.mean, self.se = mean.tolist(), se.tolist()
         self.p_free = [_two_sided_test(m, s, f)[1]
                        for m, s, f in zip(self.mean, self.se, self.floors)]
@@ -336,12 +351,14 @@ class _WordScan:
         columns = [c for c, k in enumerate(self.lengths) if k == order]
         level = alpha / len(columns)
         words = [self.tables.words[c] for c in columns]
-        estimates, ses = _column_stats(self.tables.traces[:, columns])
+        raw = self.tables.traces[:, columns]
+        estimates, ses = _column_stats(raw)
         classical = np.array([classical_joint_moment(w, *self.mu) for w in words], dtype=float)
         # the free predictions through this order solve the centering map
         free = free_word_moments(self.expansion[:columns[-1] + 1, :columns[-1] + 1])[columns]
         require_finite(np.stack([estimates, ses, classical, free]), "word statistic",
                        [order] * len(columns))
+        _require_resolved(raw.T, ses, "word statistic", [order] * len(columns))
         rows = []
         for c, word, estimate, se, prediction, free_prediction in zip(
                 columns, words, estimates.tolist(), ses.tolist(), classical.tolist(),

@@ -154,8 +154,8 @@ class EnsembleSpec:
 def chain_adjacency(n: int, circulant: bool = True) -> np.ndarray:
     """0/1 adjacency matrix of the n-site chain, optionally with a wrap edge."""
     m = np.zeros((n, n))
-    for i in range(n - 1):
-        m[i, i + 1] = m[i + 1, i] = 1.0
+    i = np.arange(n - 1)
+    m[i, i + 1] = m[i + 1, i] = 1.0
     if circulant and n > 2:
         m[0, n - 1] = m[n - 1, 0] = 1.0
     return m
@@ -167,11 +167,9 @@ def pauli_block_matrices(dimension: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"dimension must be even and >= 2, got {dimension}")
     a = np.zeros((dimension, dimension))
     b = np.zeros((dimension, dimension))
-    for i in range(0, dimension, 2):
-        a[i, i + 1] = a[i + 1, i] = 1.0
-    for i in range(1, dimension - 1, 2):
-        b[i, i + 1] = b[i + 1, i] = 1.0
-    b[0, dimension - 1] = b[dimension - 1, 0] = 1.0
+    i = np.arange(0, dimension, 2)
+    a[i, i + 1] = a[i + 1, i] = 1.0
+    b[i + 1, (i + 2) % dimension] = b[(i + 2) % dimension, i + 1] = 1.0
     return a, b
 
 
@@ -448,25 +446,23 @@ def estimate_moments(spectra, order: int) -> MomentEstimate:
 _CELL_BUDGET = 1 << 16
 
 
-def _stack_groups(draw, indices: range, dimension: int):
+def _stack_groups(draw, indices: range, dimension: int, size: int):
     """Draw the pairs of ``indices`` as stacks, split by which letters are diagonal.
 
-    Consecutive runs of at most max(1, _CELL_BUDGET // n^2) indices are
-    drawn with ``draw(i)``, checked for the common dimension and stacked.
+    Consecutive runs of at most ``size`` indices are drawn with ``draw(i)``,
+    checked for the common dimension and stacked.
     Yields (at, a, b, diagonal): sample indices, the (c, n, n) stacks of
     those pairs and, per letter, whether all of its matrices are diagonal.
     Grouping by that pattern keeps each pair's arithmetic a function of the
     pair alone, however the indices are cut into stacks or threads.
     """
-    size = max(1, _CELL_BUDGET // (dimension * dimension))
     for start in range(indices.start, indices.stop, size):
         run = range(start, min(start + size, indices.stop))
         pairs = [draw(i) for i in run]
         for i, pair in zip(run, pairs):
             if pair.dimension != dimension:
-                raise ValueError(
-                    f"sample {i} has dimension {pair.dimension}, expected {dimension}"
-                )
+                raise ValueError(f"sample {i} has dimension {pair.dimension}, "
+                                 f"expected {dimension}")
         a = np.stack([p.a for p in pairs])
         b = np.stack([p.b for p in pairs])
         code = _diagonal_flags(a) + 2 * _diagonal_flags(b)
@@ -750,11 +746,9 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     one numpy call per step for the whole stack.  The stack's diagonal flags
     pick the trace kernel: ``SplitTracePlan`` when exactly one letter is
     diagonal, ``WordTracePlan`` otherwise; each plan is built once, when the
-    first stack of its kind appears.  The dense sum and free-rotated
-    matrices go to ``spectra.DenseSpectra``, which solves them in calls of
-    more than 500 eigenvalues across the stacks of a chunk, so that numpy
-    releases the GIL while the pool's threads eigensolve; a diagonal sum's
-    spectrum is its sorted diagonal.  With
+    first stack of its kind appears.  A chunk's dense sums and rotated sums
+    share the calls of one ``spectra.DenseSpectra`` buffer, which holds at
+    least a stack; a diagonal sum's spectrum is its sorted diagonal.  With
     ``threads`` > 1 (and at least two indices per thread) contiguous chunks
     of indices run on a thread pool, and the first failing chunk in index
     order raises, so the error is the one a serial loop would meet first.
@@ -778,13 +772,15 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                 plans[kind] = WordTracePlan(words) if kind is None else SplitTracePlan(words, kind)
             return plans[kind]
 
+    height = max(1, _CELL_BUDGET // (dimension * dimension))  # pairs per stack
+
     def run_chunk(indices):
         pa = pb = None
-        spectra = DenseSpectra(dimension)
+        spectra = DenseSpectra(dimension, height)
         # errstate is per thread; the finite checks of the tables and of
         # the statistics derived from them report overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            for at, a, b, diagonal in _stack_groups(draw, indices, dimension):
+            for at, a, b, diagonal in _stack_groups(draw, indices, dimension, height):
                 pa, pb = _letter(a, diagonal[0], pa), _letter(b, diagonal[1], pb)
                 if sums is not None:
                     if all(diagonal):

@@ -5,9 +5,10 @@ strings are grouped by literal rotation, free moments come from explicit
 non-crossing partitions, classical cumulants from the logarithm of the
 exponential moment generating series, series reversion from the Lagrange
 formula, word traces from index sums over matrix entries or from
-explicit block powers, the centering map from per-subset ``Word`` objects
-and kernel density sums one grid point at a time (with the bound on the
-error that linear binning may add to them).  None of it calls the
+explicit block powers, the centering map from per-subset ``Word`` objects,
+kernel density sums one grid point at a time (with the bound on the
+error that linear binning may add to them) and the fixed chain and Pauli
+matrices one entry at a time.  None of it calls the
 code paths under test beyond basic data types.
 """
 
@@ -279,3 +280,25 @@ def kernel_sum_binning_bound(bandwidth, order):
     peak = np.abs(cur * np.exp(-0.5 * u * u)).max()
     return ((1.0 / 16) ** 2 / 8.0 * peak
             / (math.sqrt(2.0 * math.pi) * bandwidth ** (order + 1)))
+
+
+def chain_adjacency_loop(n, circulant=True):
+    """0/1 adjacency of the n-site chain, one edge at a time."""
+    m = np.zeros((n, n))
+    for i in range(n - 1):
+        m[i, i + 1] = m[i + 1, i] = 1.0
+    if circulant and n > 2:
+        m[0, n - 1] = m[n - 1, 0] = 1.0
+    return m
+
+
+def pauli_block_matrices_loop(dimension):
+    """[[0,1],[1,0]] blocks on sites (0,1), (2,3), ... for A and (1,2), ..., (n-1,0) for B."""
+    a = np.zeros((dimension, dimension))
+    b = np.zeros((dimension, dimension))
+    for i in range(0, dimension, 2):
+        a[i, i + 1] = a[i + 1, i] = 1.0
+    for i in range(1, dimension - 1, 2):
+        b[i, i + 1] = b[i + 1, i] = 1.0
+    b[0, dimension - 1] = b[dimension - 1, 0] = 1.0
+    return a, b

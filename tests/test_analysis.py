@@ -672,9 +672,9 @@ def _mixed_pair_file(path, n=5, t=23, seed=61):
                                      "mixed-file"])
 def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
     # stacks of 1, 7 (ragged) and all t pairs, on one thread or two, give
-    # bit-identical raw tables: the dense spectra are batched across stacks
-    # up to each chunk's end, and at n = 24 a stack of all t pairs is
-    # solved without the batch
+    # bit-identical raw tables: the dense spectra share one buffer across
+    # stacks up to each chunk's end, which holds at least a whole stack (at
+    # n = 24, 21 matrices or the stack of all t pairs)
     from partialfree import matrices
     from partialfree.analysis import _table_words
     from partialfree.matrices import sample_tables, word_trace_table

@@ -335,6 +335,34 @@ def test_scan_is_invariant_under_rescaling_the_pairs(tmp_path, capsys, kind, n, 
         assert scan(2.0**e) == unit, e
 
 
+@pytest.mark.parametrize("scale_a, scale_b, statistic", [
+    (2.0**-400, 2.0**-400, "moment difference at order 2"),
+    (1e-150, 1e-150, "moment difference at order 1"),
+    (1e-300, 1e-300, "moment difference at order 1"),
+    # B^2 and its centered word fluctuate at 1e-200, beyond squaring
+    (1.0, 1e-100, "centered word statistic at order 2"),
+])
+def test_underflowing_statistics_end_in_exit_3(tmp_path, capsys, scale_a, scale_b, statistic):
+    # the squares behind the standard errors underflow, so a z read off
+    # them would reject on noise (degree 1, 2 or 3 instead of none)
+    from partialfree.matrices import EnsembleSpec, sample_pair
+
+    pairs = [sample_pair(EnsembleSpec.goe(3, 5), i) for i in range(35)]
+
+    def analyze(sa, sb):
+        path = tmp_path / f"pairs{sa}-{sb}.jsonl"
+        _write_records(path, [(sa * p.a, sb * p.b) for p in pairs])
+        return run_cli(capsys, "analyze", "--input", str(path), "--k", "4", "--threads", "1")
+
+    code, out, err = analyze(1.0, 1.0)
+    assert code == 0 and json.loads(out)["degree"] is None, err
+    code, out, err = analyze(scale_a, scale_b)
+    assert code == 3
+    assert out == ""
+    assert err == f"input error: underflowing standard error of the {statistic}: " \
+        "entries too small for double-precision squares\n"
+
+
 @pytest.mark.parametrize("kind", ["cancelling", "1.5e308", "diagonal-1e200"])
 def test_non_finite_statistics_end_in_exit_3(tmp_path, capsys, kind):
     # Tier-1 turns RuntimeWarnings into errors, so a warning from the

@@ -32,7 +32,7 @@ from partialfree.matrices import (
 from partialfree.moments import centering_map
 from partialfree.words import Word, word_expansion
 
-from oracles import block_power_trace
+from oracles import block_power_trace, chain_adjacency_loop, pauli_block_matrices_loop
 
 
 def test_sampling_is_deterministic_and_streams_independent():
@@ -146,6 +146,16 @@ def test_random_permutation_uniform():
     sigma = math.sqrt(draws * (1 / 6) * (5 / 6))
     for count in counts.values():
         assert abs(count - draws / 6) < 3.3 * sigma
+
+
+def test_fixed_matrices_match_their_loop_oracles():
+    for n in range(2, 13):
+        for circulant in (True, False):
+            assert np.array_equal(chain_adjacency(n, circulant),
+                                  chain_adjacency_loop(n, circulant)), (n, circulant)
+        if n % 2 == 0:
+            for got, want in zip(pauli_block_matrices(n), pauli_block_matrices_loop(n)):
+                assert np.array_equal(got, want), n
 
 
 def test_symmetric_eigenvalues_examples():
@@ -303,8 +313,10 @@ def test_diagonal_eigenvalues_are_the_sorted_diagonal():
 
 
 def test_dense_spectra_batches_give_the_same_bits_wherever_they_are_cut(monkeypatch):
-    # at n = 100 the buffer holds 6 matrices: stacks of 1-4 straddle its end,
-    # a stack of 6 is solved at once, and the chunk's end flushes the rest
+    # at n = 100 a stack holds 6 pairs and the buffer 6 matrices: stacks of
+    # 1-4 straddle its end, a stack of 6 fills the rest of the buffer and
+    # waits with its other half, and the chunk's end flushes the rest
+    from partialfree.matrices import _CELL_BUDGET
     from partialfree.spectra import DenseSpectra
 
     n, sizes = 100, [1, 4, 3, 2, 4, 1, 6]
@@ -316,7 +328,7 @@ def test_dense_spectra_batches_give_the_same_bits_wherever_they_are_cut(monkeypa
     # rows in reverse, so each stack's values land away from its place in the batch
     rows = np.arange(len(g))[::-1]
     got = np.full_like(want, np.nan)
-    spectra = DenseSpectra(n)
+    spectra = DenseSpectra(n, _CELL_BUDGET // (n * n))
     start = 0
     for size in sizes:
         stack = g[rows[start:start + size]]
@@ -326,6 +338,27 @@ def test_dense_spectra_batches_give_the_same_bits_wherever_they_are_cut(monkeypa
     spectra.flush()
     assert np.array_equal(got, want)
     assert calls == [(6, n, n), (6, n, n), (6, n, n), (3, n, n)]
+
+
+def test_a_chunks_sums_and_rotated_sums_share_one_eigensolve(monkeypatch):
+    # GOE at n = 16: a stack holds 256 pairs, so the buffer takes all 40 sums
+    # and 40 rotated sums, and the chunk's end solves them in one call
+    from partialfree.matrices import _FREE_STREAM
+
+    spec = EnsembleSpec.goe(16, seed=41)
+    t = 40
+    pairs = [sample_pair(spec, i) for i in range(t)]
+    want_sums = np.stack([np.linalg.eigvalsh(p.a + p.b) for p in pairs])
+    want_free = np.stack([sample_free_sum_spectrum(p, stream(spec.seed, i, _FREE_STREAM, 0))
+                          .eigenvalues for i, p in enumerate(pairs)])
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+    tables = sample_tables(pairs.__getitem__, t, 16, [Word.empty()], with_sums=True,
+                           seed=spec.seed, free_rotations=1)
+    assert calls == [(2 * t, 16, 16)]
+    assert np.array_equal(tables.sums, want_sums)
+    assert np.array_equal(tables.free_pool, want_free)
 
 
 def test_rotation_pair_classical_atoms():
