@@ -83,13 +83,16 @@ def _two_sided_test(diff: float, se: float, floor: float) -> tuple[float, float]
     return math.inf if diff > 0 else -math.inf, 0.0
 
 
-def _require_resolved(values: np.ndarray, se: np.ndarray, what: str, orders) -> None:
-    """InputError naming the order of the first statistic whose SE underflowed.
+def _require_resolved(values: np.ndarray, se: np.ndarray, diffs: np.ndarray,
+                      floors: np.ndarray, what: str, orders) -> None:
+    """InputError naming the order of the first tested statistic whose SE underflowed.
 
-    Row j of ``values`` holds statistic j over the samples or replicates; an SE
-    below the smallest normal double fails where they differ, not where equal.
+    Row j of ``values`` holds statistic j over the samples or replicates.  The
+    test reads an SE only where |diff| > floor; there, an SE below the smallest
+    normal double fails where the values differ, not where they are equal.
     """
-    bad = np.flatnonzero((se < np.finfo(float).tiny) & (values != values[:, :1]).any(axis=1))
+    bad = np.flatnonzero((np.abs(diffs) > floors) & (se < np.finfo(float).tiny)
+                         & (values != values[:, :1]).any(axis=1))
     if bad.size:
         raise InputError(f"underflowing standard error of the {what} at order "
                          f"{orders[bad[0]]}: entries too small for double-precision squares")
@@ -246,7 +249,8 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
     floors = word_floor + _ROUNDING_RTOL * np.sqrt(m_s.mean(axis=0)[: 2 * order + 1: 2])
     require_finite(np.stack([summed.values, summed.se, predicted, pred_se, diffs, diff_se,
                              floors]), "moment statistic", range(order + 1))
-    _require_resolved(rep_diff[:, 1:], diff_se, "moment difference", range(order + 1))
+    _require_resolved(rep_diff[:, 1:], diff_se, diffs, floors, "moment difference",
+                      range(order + 1))
     free, classical = sampled
     rows = []
     for k in range(1, order + 1):
@@ -336,7 +340,8 @@ class _WordScan:
         mean, se = _column_stats(centered)
         require_finite(np.stack([mean, se, self.floors]), "centered word statistic",
                        self.lengths)
-        _require_resolved(centered.T, se, "centered word statistic", self.lengths)
+        _require_resolved(centered.T, se, mean, self.floors, "centered word statistic",
+                          self.lengths)
         self.mean, self.se = mean.tolist(), se.tolist()
         self.p_free = [_two_sided_test(m, s, f)[1]
                        for m, s, f in zip(self.mean, self.se, self.floors)]
@@ -358,7 +363,8 @@ class _WordScan:
         free = free_word_moments(self.expansion[:columns[-1] + 1, :columns[-1] + 1])[columns]
         require_finite(np.stack([estimates, ses, classical, free]), "word statistic",
                        [order] * len(columns))
-        _require_resolved(raw.T, ses, "word statistic", [order] * len(columns))
+        _require_resolved(raw.T, ses, estimates - classical, self.floors[columns],
+                          "word statistic", [order] * len(columns))
         rows = []
         for c, word, estimate, se, prediction, free_prediction in zip(
                 columns, words, estimates.tolist(), ses.tolist(), classical.tolist(),

@@ -91,6 +91,8 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _cmd_necklaces(args) -> int:
+    if args.k > 26:
+        raise ConfigError(f"necklaces are written in the 26 letters A-Z, got k = {args.k}")
     necklaces = enumerate_necklaces(args.n, args.k,
                                     fold_reflections=args.fold_reflections)
     if args.format == "json":

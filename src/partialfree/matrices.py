@@ -535,12 +535,28 @@ def _trace(x: np.ndarray) -> np.ndarray:
 
 
 def _trace_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """tr(P X) per stack entry without forming the product; P and X of one kind."""
-    return np.einsum("ci,ci->c" if p.ndim == 2 else "cij,cji->c", p, x)
+    """tr(P X) per stack entry without forming the product; each factor of either kind."""
+    if p.ndim == x.ndim:
+        return np.einsum("ci,ci->c" if p.ndim == 2 else "cij,cji->c", p, x)
+    return np.einsum("ci,cii->c" if p.ndim == 2 else "cii,ci->c", p, x)
+
+
+def _long(words) -> list[int]:
+    """Columns of the words with two or more blocks of each letter, the kernels' words."""
+    return [column for column, word in enumerate(words) if len(word.blocks) >= 4]
+
+
+def _short_traces(short, pa: _Powers, pb: _Powers, out: np.ndarray) -> None:
+    """tr(W)/N into ``out`` of the words with at most one block per letter, (column, blocks)."""
+    dimension = pa.matrices.shape[-1]
+    for column, blocks in short:
+        factors = [(pb if letter else pa).power(e) for letter, e in blocks]
+        trace = _trace_product if len(factors) == 2 else _trace
+        out[:, column] = trace(*factors) / dimension if factors else 1.0
 
 
 class WordTracePlan:
-    """Raw normalized traces tr(W)/N of a fixed list of two-letter words.
+    """Raw normalized traces tr(W)/N of the words with two or more blocks of each letter.
 
     This plan serves stacks whose letters are of one kind, both dense or
     both diagonal; ``SplitTracePlan`` serves the mixed stacks.  The words
@@ -555,37 +571,30 @@ class WordTracePlan:
     """
 
     def __init__(self, words):
-        self.size = len(words)
         # per word in visiting order: (column, prefix products kept, blocks
-        # to multiply on, last block or None for the empty word)
+        # to multiply on, last block)
         self.steps = []
         current: tuple = ()
-        for column in sorted(range(len(words)), key=lambda j: words[j].blocks):
+        for column in sorted(_long(words), key=lambda j: words[j].blocks):
             blocks = words[column].blocks
             prefix = blocks[:-1]
             keep = 0
             while keep < min(len(prefix), len(current)) and prefix[keep] == current[keep]:
                 keep += 1
-            self.steps.append((column, keep, prefix[keep:], blocks[-1] if blocks else None))
+            self.steps.append((column, keep, prefix[keep:], blocks[-1]))
             current = prefix
 
-    def traces(self, pa: _Powers, pb: _Powers, count: int) -> np.ndarray:
-        """Rows of tr(W)/N, one per pair of a stack of ``count`` pairs with letters pa, pb."""
+    def traces(self, pa: _Powers, pb: _Powers, out: np.ndarray) -> None:
+        """Write tr(W)/N into the words' columns of ``out``, one row per pair of the stack."""
         dimension = pa.matrices.shape[-1]
-        out = np.empty((count, self.size))
         stack: list[np.ndarray] = []
         for column, keep, push, last in self.steps:
             del stack[keep:]
             for letter, e in push:
                 factor = (pb if letter else pa).power(e)
                 stack.append(_mul(stack[-1], factor) if stack else factor)
-            if last is None:
-                out[:, column] = 1.0
-                continue
             x = (pb if last[0] else pa).power(last[1])
-            out[:, column] = ((_trace_product(stack[-1], x) if stack else _trace(x))
-                              / dimension)
-        return out
+            out[:, column] = _trace_product(stack[-1], x) / dimension
 
 
 def _least(pieces: tuple) -> tuple:
@@ -638,9 +647,8 @@ class SplitTracePlan:
     """Raw normalized traces tr(W)/N when one letter is diagonal and the other dense.
 
     With d the diagonal letter's diagonal and M the dense letter, a word
-    with one diagonal block traces as d^a . diag(M^b), and a word with
-    m >= 2 of them is a sum over closed two-site paths: cut at two diagonal
-    blocks (``_split``),
+    with m >= 2 diagonal blocks is a sum over closed two-site paths: cut at
+    two diagonal blocks (``_split``),
 
         tr(D^a_i P D^a_j Q) = (d^a_i)^T (P o Q^T) d^a_j,
 
@@ -655,29 +663,16 @@ class SplitTracePlan:
     call: for the scan's words, 2, 6, 16 and 31 products at K = 8, 10, 12
     and 14, each of max(2^16, n^2) doubles at most.  Every step batches
     over the stack axis only, so each pair's traces are a function of that
-    pair, and the powers come from ``_Powers``, so the pure words trace as
-    in ``WordTracePlan``, bit for bit.  The plan is immutable and can be
-    shared between threads.
+    pair.  The plan is immutable and can be shared between threads.
     """
 
     def __init__(self, words, diagonal_letter: int):
-        self.size = len(words)
         self.diagonal_letter = diagonal_letter
-        # (column, block or None for the empty word) of the one-letter words;
-        # (column, a, b) of the words with one diagonal block
-        self.pure, self.single = [], []
         groups: dict[tuple, list] = {}
-        for column, word in enumerate(words):
-            blocks = word.blocks
-            if len(blocks) <= 1:
-                self.pure.append((column, blocks[0] if blocks else None))
-                continue
+        for column in _long(words):
+            blocks = words[column].blocks
             start = next(i for i, (letter, _) in enumerate(blocks) if letter == diagonal_letter)
-            exponents = [e for _, e in blocks[start:] + blocks[:start]]
-            if len(exponents) == 2:
-                self.single.append((column, *exponents))
-                continue
-            p, q, a_i, a_j = _split(exponents)
+            p, q, a_i, a_j = _split([e for _, e in blocks[start:] + blocks[:start]])
             groups.setdefault((p, q), []).append((a_i, a_j, column))
         # per group: (P, Q, exponents a_i, exponents a_j,
         # (row, column, trace column) per word)
@@ -689,19 +684,10 @@ class SplitTracePlan:
                        for a_i, a_j, column in members]
             self.groups.append((p, q, rows, cols, entries))
 
-    def traces(self, pa: _Powers, pb: _Powers, count: int) -> np.ndarray:
-        """Rows of tr(W)/N, one per pair of a stack of ``count`` pairs with letters pa, pb."""
+    def traces(self, pa: _Powers, pb: _Powers, out: np.ndarray) -> None:
+        """Write tr(W)/N into the words' columns of ``out``, one row per pair of the stack."""
         pd, pm = (pb, pa) if self.diagonal_letter else (pa, pb)
         dimension = pm.matrices.shape[-1]
-        out = np.empty((count, self.size))
-        for column, block in self.pure:
-            if block is None:
-                out[:, column] = 1.0
-            else:
-                x = (pb if block[0] else pa).power(block[1])
-                out[:, column] = _trace(x) / dimension
-        for column, a, b in self.single:
-            out[:, column] = np.einsum("ci,cii->c", pd.power(a), pm.power(b)) / dimension
         built: dict[tuple, np.ndarray] = {}
         for p, q, rows, cols, entries in self.groups:
             h = _product(p, pd, pm, built) * np.swapaxes(_product(q, pd, pm, built), 1, 2)
@@ -710,7 +696,6 @@ class SplitTracePlan:
             paths = np.matmul(np.matmul(left, h), right)
             for row, col, column in entries:
                 out[:, column] = paths[:, row, col] / dimension
-        return out
 
 
 @dataclass(frozen=True)
@@ -743,10 +728,11 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     ``with_classical``, its permuted sum spectrum; the rotations and
     permutations come from the per-index streams of ``seed``.  Pairs are
     drawn one index at a time but processed as stacks (``_stack_groups``),
-    one numpy call per step for the whole stack.  The stack's diagonal flags
-    pick the trace kernel: ``SplitTracePlan`` when exactly one letter is
-    diagonal, ``WordTracePlan`` otherwise; each plan is built once, when the
-    first stack of its kind appears.  A chunk's dense sums and rotated sums
+    one numpy call per step for the whole stack.  ``_short_traces`` traces
+    the words with at most one block of each letter; the stack's diagonal
+    flags pick the kernel for the rest: ``SplitTracePlan`` when exactly one
+    letter is diagonal, ``WordTracePlan`` otherwise; each plan is built
+    once, when the first stack of its kind appears.  A chunk's dense sums and rotated sums
     share the calls of one ``spectra.DenseSpectra`` buffer, which holds at
     least a stack; a diagonal sum's spectrum is its sorted diagonal.  With
     ``threads`` > 1 (and at least two indices per thread) contiguous chunks
@@ -756,6 +742,7 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     neither on ``threads`` nor on how the stacks or batches are cut.
     """
     words = list(words)
+    short = [(column, word.blocks) for column, word in enumerate(words) if len(word.blocks) < 4]
     traces = np.empty((count, len(words)))
     sums = np.empty((count, dimension)) if with_sums else None
     free_pool = np.empty((count * free_rotations, dimension)) if free_rotations else None
@@ -788,7 +775,10 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                     else:
                         for out, part in spectra.slots(sums, at):
                             np.add(a[part], b[part], out=out)
-                traces[at] = plan_for(diagonal).traces(pa, pb, len(at))
+                row = np.empty((len(at), len(words)))
+                _short_traces(short, pa, pb, row)
+                plan_for(diagonal).traces(pa, pb, row)
+                traces[at] = row
                 for j in range(free_rotations):
                     for out, part in spectra.slots(free_pool, at * free_rotations + j):
                         _free_sums(a[part], b[part],

@@ -41,6 +41,17 @@ def test_necklaces_bad_args(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["1", "27"], ["2", "27", "--format", "json"]])
+def test_necklaces_beyond_26_letters_is_a_config_error(capsys, argv):
+    # words are written in A-Z, so a 27th letter has no name; refused before
+    # any line is printed
+    code, out, err = run_cli(capsys, "necklaces", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: necklaces are written in the 26 letters A-Z, got k = 27\n"
+    assert run_cli(capsys, "necklaces", "1", "26")[1].splitlines()[-1] == "Z 1"
+
+
 def test_necklaces_beyond_the_class_bound_is_resource_limit(capsys):
     # 2.7e10 classes: refused from the count, before any is enumerated
     code, out, err = run_cli(capsys, "necklaces", "40", "2")
@@ -337,10 +348,13 @@ def test_scan_is_invariant_under_rescaling_the_pairs(tmp_path, capsys, kind, n, 
 
 @pytest.mark.parametrize("scale_a, scale_b, statistic", [
     (2.0**-400, 2.0**-400, "moment difference at order 2"),
-    (1e-150, 1e-150, "moment difference at order 1"),
+    # at 1e-150 the order-1 difference is rounding noise within its floor,
+    # which the test never reads the SE of; order 2 is the first it reads
+    (1e-150, 1e-150, "moment difference at order 2"),
     (1e-300, 1e-300, "moment difference at order 1"),
-    # B^2 and its centered word fluctuate at 1e-200, beyond squaring
-    (1.0, 1e-100, "centered word statistic at order 2"),
+    # B^2 fluctuates at 1e-200, beyond squaring, but its centered word lies
+    # within its floor; order 3 holds the first word the test reads
+    (1.0, 1e-100, "centered word statistic at order 3"),
 ])
 def test_underflowing_statistics_end_in_exit_3(tmp_path, capsys, scale_a, scale_b, statistic):
     # the squares behind the standard errors underflow, so a z read off

@@ -12,7 +12,9 @@ from partialfree.errors import ConfigError, InputError
 from partialfree.matrices import (
     EnsembleSpec,
     MatrixPairSample,
+    SplitTracePlan,
     SpectrumSample,
+    WordTracePlan,
     chain_adjacency,
     estimate_moments,
     estimate_word_net,
@@ -455,6 +457,20 @@ def test_mixed_kernel_reads_reversed_products(draw):
         for j, word in enumerate(words):
             want = block_power_trace(word.blocks, pair.a, pair.b)
             assert abs(raw[i, j] - want) <= 1e-10 * max(1.0, abs(want)), word
+
+
+def test_each_word_is_traced_in_one_place():
+    # the empty word, X^k and A^a B^b (at most one block of each letter) are
+    # traced by the pass itself; both kernels take only the longer words
+    from partialfree.analysis import _table_words
+
+    words = _table_words(10)
+    longer = [j for j, word in enumerate(words) if len(word.blocks) >= 4]
+    assert len(words) - len(longer) == 66
+    assert sorted(column for column, *_ in WordTracePlan(words).steps) == longer
+    for diagonal_letter in (0, 1):
+        groups = SplitTracePlan(words, diagonal_letter).groups
+        assert sorted(column for *_, entries in groups for *_, column in entries) == longer
 
 
 @pytest.mark.parametrize("order, products", [(8, 2), (10, 6), (12, 16)])
