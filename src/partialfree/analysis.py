@@ -40,6 +40,7 @@ from .matrices import (
     EnsembleSpec,
     MomentEstimate,
     SampleTables,
+    column_stats,
     estimate_moments,
     per_sample_moments,
     require_finite,
@@ -309,19 +310,6 @@ def _sample_words(draw, count: int, dimension: int, order: int, threads: int,
                          **pass_options)
 
 
-def _column_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and Monte Carlo SE, std/sqrt(t), of every column of a (t, W) table.
-
-    Each column is reduced as a contiguous row of the transpose: numpy sums
-    pairwise along the last axis only, so it sums as its own 1-D slice would.
-    (The <W^2>-based proxy of estimate_word_net is not the sampling variance
-    of the mean, and can vanish while the statistic fluctuates.)
-    """
-    t = table.shape[0]
-    rows = np.ascontiguousarray(table.T)
-    return rows.mean(axis=1), rows.std(axis=1, ddof=1 if t > 1 else 0) / math.sqrt(t)
-
-
 class _WordScan:
     """Per column of a raw trace table: the centered mean, its SE and the free p-value.
 
@@ -337,7 +325,7 @@ class _WordScan:
         self.floors = floors
         self.expansion = centering_map(tables.words, *mu)
         centered = tables.traces @ self.expansion
-        mean, se = _column_stats(centered)
+        mean, se = column_stats(centered)
         require_finite(np.stack([mean, se, self.floors]), "centered word statistic",
                        self.lengths)
         _require_resolved(centered.T, se, mean, self.floors, "centered word statistic",
@@ -357,7 +345,7 @@ class _WordScan:
         level = alpha / len(columns)
         words = [self.tables.words[c] for c in columns]
         raw = self.tables.traces[:, columns]
-        estimates, ses = _column_stats(raw)
+        estimates, ses = column_stats(raw)
         classical = np.array([classical_joint_moment(w, *self.mu) for w in words], dtype=float)
         # the free predictions through this order solve the centering map
         free = free_word_moments(self.expansion[:columns[-1] + 1, :columns[-1] + 1])[columns]

@@ -9,6 +9,7 @@ distinct indices give independent streams.
 from __future__ import annotations
 
 import codecs
+import itertools
 import json
 import math
 import os
@@ -525,11 +526,6 @@ def _letter(stack: np.ndarray, diagonal: bool, previous: _Powers | None) -> _Pow
     return _Powers(first.copy(), diagonal)
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of stacked factors of one kind: (c, n) diagonal rows or (c, n, n) matrices."""
-    return x * y if x.ndim == 2 else np.matmul(x, y)
-
-
 def _trace(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=1) if x.ndim == 2 else np.einsum("cii->c", x)
 
@@ -541,60 +537,20 @@ def _trace_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ci,cii->c" if p.ndim == 2 else "cii,ci->c", p, x)
 
 
-def _long(words) -> list[int]:
-    """Columns of the words with two or more blocks of each letter, the kernels' words."""
-    return [column for column, word in enumerate(words) if len(word.blocks) >= 4]
+def _short_traces(words, pa: _Powers, pb: _Powers, out: np.ndarray) -> None:
+    """tr(W)/N into ``out`` of (column, blocks) words with at most one block per letter.
 
-
-def _short_traces(short, pa: _Powers, pb: _Powers, out: np.ndarray) -> None:
-    """tr(W)/N into ``out`` of the words with at most one block per letter, (column, blocks)."""
+    When both letters are diagonal they commute, and any word is taken as
+    A^alpha B^beta, its letter counts (the A blocks of a least rotation are
+    the even ones).
+    """
     dimension = pa.matrices.shape[-1]
-    for column, blocks in short:
+    for column, blocks in words:
+        if len(blocks) > 2:
+            blocks = ((0, sum(e for _, e in blocks[::2])), (1, sum(e for _, e in blocks[1::2])))
         factors = [(pb if letter else pa).power(e) for letter, e in blocks]
         trace = _trace_product if len(factors) == 2 else _trace
         out[:, column] = trace(*factors) / dimension if factors else 1.0
-
-
-class WordTracePlan:
-    """Raw normalized traces tr(W)/N of the words with two or more blocks of each letter.
-
-    This plan serves stacks whose letters are of one kind, both dense or
-    both diagonal; ``SplitTracePlan`` serves the mixed stacks.  The words
-    are visited in lexicographic order of their blocks, so words
-    sharing a block prefix are adjacent and each prefix product is formed
-    once per stack of pairs; the last block is folded into the trace instead
-    of multiplied on.  A stack holds the current prefix's products, so at
-    most one product per block of the longest word is alive at a time, and
-    none outlives the call.  The words are taken as given: least rotations
-    over the letters A (0) and B (1).  The plan itself is immutable and can
-    be shared between threads.
-    """
-
-    def __init__(self, words):
-        # per word in visiting order: (column, prefix products kept, blocks
-        # to multiply on, last block)
-        self.steps = []
-        current: tuple = ()
-        for column in sorted(_long(words), key=lambda j: words[j].blocks):
-            blocks = words[column].blocks
-            prefix = blocks[:-1]
-            keep = 0
-            while keep < min(len(prefix), len(current)) and prefix[keep] == current[keep]:
-                keep += 1
-            self.steps.append((column, keep, prefix[keep:], blocks[-1]))
-            current = prefix
-
-    def traces(self, pa: _Powers, pb: _Powers, out: np.ndarray) -> None:
-        """Write tr(W)/N into the words' columns of ``out``, one row per pair of the stack."""
-        dimension = pa.matrices.shape[-1]
-        stack: list[np.ndarray] = []
-        for column, keep, push, last in self.steps:
-            del stack[keep:]
-            for letter, e in push:
-                factor = (pb if letter else pa).power(e)
-                stack.append(_mul(stack[-1], factor) if stack else factor)
-            x = (pb if last[0] else pa).power(last[1])
-            out[:, column] = _trace_product(stack[-1], x) / dimension
 
 
 def _least(pieces: tuple) -> tuple:
@@ -610,70 +566,90 @@ def _split(exponents: list) -> tuple:
     """(P, Q, a_i, a_j) of the cycle D^a_1 M^b_1 ... D^a_m M^b_m, m >= 2.
 
     ``exponents`` is (a_1, b_1, ..., a_m, b_m).  Cutting the cycle at the
-    diagonal blocks a_i and a_j leaves the pieces P (from a_i to a_j) and Q
-    (from a_j back to a_i), each an alternating run b, a, ..., b.  Each cut
-    is listed with its transposed form (reversed Q, reversed P), which has
-    the same trace.  The form taken halves the word's letters most nearly,
-    so its pieces are short and shared by many words; ties go to the least
+    blocks a_i and a_j leaves the pieces P (from a_i to a_j) and Q (from
+    a_j back to a_i), each an alternating run b, a, ..., b.  Each cut is
+    listed with its transposed form (reversed Q, reversed P), which has the
+    same trace.  The form taken halves the word's letters most nearly, so
+    its pieces are short and shared by many words; ties go to the least
     pieces, so every word that a cut serves names it by the same form.
+    Only the cuts that tie for the best balance build their pieces.
     """
+    size = len(exponents)
+    cycle = exponents + exponents
+    sums = list(itertools.accumulate(cycle, initial=0))
+    total = sums[size]
+    best = None
+    for i in range(0, size, 2):
+        a_i, start = cycle[i], sums[i + 1]
+        for j in range(i + 2, i + size, 2):
+            inner = sums[j] - start
+            outer = total - inner - a_i - cycle[j]
+            balance = inner * inner + outer * outer
+            if best is None or balance < best:
+                best, cuts = balance, [(i, j)]
+            elif balance == best:
+                cuts.append((i, j))
+    # P and Q have size - 2 pieces between them, so (len P, P, Q) ranks the
+    # forms as (len P, P, len Q, Q) would; a full tie keeps the one listed first
     forms = []
-    for i in range(0, len(exponents), 2):
-        cycle = exponents[i:] + exponents[:i]
-        for j in range(2, len(cycle), 2):
-            p, q = tuple(cycle[1:j]), tuple(cycle[j + 1:])
-            forms += [(p, q, cycle[0], cycle[j]), (q[::-1], p[::-1], cycle[0], cycle[j])]
-    return min(forms, key=lambda f: (sum(f[0]) ** 2 + sum(f[1]) ** 2,
-                                     len(f[0]), f[0], len(f[1]), f[1]))
+    for i, j in cuts:
+        p, q = tuple(cycle[i + 1:j]), tuple(cycle[j + 1:i + size])
+        forms += [(len(p), p, q, len(forms), cycle[i], cycle[j]),
+                  (len(q), q[::-1], p[::-1], len(forms) + 1, cycle[i], cycle[j])]
+    _, p, q, _, a_i, a_j = min(forms)
+    return p, q, a_i, a_j
 
 
 def _product(pieces: tuple, pd: _Powers, pm: _Powers, built: dict) -> np.ndarray:
     """The product M^b D^a ... M^b' of the alternating exponents ``pieces`` b, a, ..., b'.
 
     A single piece is a power of M.  A longer product is built once per
-    ``built`` memo, from its prefix with one matmul, kept under ``_least``
-    and read transposed for the reversed pieces.
+    ``built`` memo from its prefix, with one matmul by M^b' and, when D is
+    dense, one by D^a (a diagonal D scales the prefix's columns instead),
+    kept under ``_least`` and read transposed for the reversed pieces.
     """
     if len(pieces) == 1:
         return pm.power(pieces[0])
     key = _least(pieces)
     if key not in built:
         prefix = _product(key[:-2], pd, pm, built)
-        built[key] = np.matmul(prefix * pd.power(key[-2])[:, None, :], pm.power(key[-1]))
+        d = pd.power(key[-2])
+        prefix = prefix * d[:, None, :] if pd.diagonal else np.matmul(prefix, d)
+        built[key] = np.matmul(prefix, pm.power(key[-1]))
     return built[key] if key == pieces else np.swapaxes(built[key], 1, 2)
 
 
 class SplitTracePlan:
-    """Raw normalized traces tr(W)/N when one letter is diagonal and the other dense.
+    """Raw normalized traces tr(W)/N of the words with two or more blocks of each letter.
 
-    With d the diagonal letter's diagonal and M the dense letter, a word
-    with m >= 2 diagonal blocks is a sum over closed two-site paths: cut at
-    two diagonal blocks (``_split``),
-
-        tr(D^a_i P D^a_j Q) = (d^a_i)^T (P o Q^T) d^a_j,
-
-    with o the entrywise product.  A word with two diagonal blocks needs no
-    matrix product; for m >= 3, P or Q is a "sandwich" product
-    M^b D^a M^b' ... (``_product``), built from its prefix with one matmul
-    and kept under ``_least``, so words share it in either orientation.
-    Words with the same (P, Q) form a group: H = P o Q^T is formed once, and
-    two batched matmuls of the stacked powers of d with H give every
-    (a_i, a_j) of the group.  Each sandwich product is built once per stack
-    and lives until the stack's traces are done, and none outlives the
-    call: for the scan's words, 2, 6, 16 and 31 products at K = 8, 10, 12
-    and 14, each of max(2^16, n^2) doubles at most.  Every step batches
-    over the stack axis only, so each pair's traces are a function of that
-    pair.  The plan is immutable and can be shared between threads.
+    A word is a sum over closed two-site paths: cut at two blocks of the cut
+    letter D (``_split``), with M the other letter, it is tr(D^a_i P D^a_j Q).
+    For m >= 3 blocks of D, P or Q is a "sandwich" product M^b D^a M^b' ...
+    (``_product``), kept until the stack's traces are done: 2, 6, 16 and 31
+    per stack at K = 8, 10, 12 and 14, each of max(2^16, n^2) doubles at
+    most.  Words with the same (P, Q) form a group.  For a diagonal D with
+    diagonal d the trace is (d^a_i)^T (P o Q^T) d^a_j (o the entrywise
+    product): H = P o Q^T is formed once, and two batched matmuls of the
+    stacked powers of d with H give every (a_i, a_j) of the group.  For a
+    dense D it is the sum of X o Y^T with the factors X = D^a_i P and
+    Y^T = Q^T D^a_j, one einsum per word; each factor is built once (23, 54
+    and 123 at K = 8, 10 and 12) and dropped after the last group that reads
+    it (at most 9, 20 and 41 live).  No eigenbasis is taken, so integer
+    matrices (the Pauli pair) keep exact traces.  Every step batches over
+    the stack axis only, so each pair's traces are a function of that pair.
+    The words are taken as given: least rotations over the letters A (0)
+    and B (1), which start with an A block.  The plan is immutable and can
+    be shared between threads.
     """
 
-    def __init__(self, words, diagonal_letter: int):
-        self.diagonal_letter = diagonal_letter
+    def __init__(self, words, cut_letter: int):
+        self.cut_letter = cut_letter
         groups: dict[tuple, list] = {}
-        for column in _long(words):
-            blocks = words[column].blocks
-            start = next(i for i, (letter, _) in enumerate(blocks) if letter == diagonal_letter)
-            p, q, a_i, a_j = _split([e for _, e in blocks[start:] + blocks[:start]])
-            groups.setdefault((p, q), []).append((a_i, a_j, column))
+        for column, word in enumerate(words):
+            exponents = [e for _, e in word.blocks]
+            if len(exponents) >= 4:
+                p, q, a_i, a_j = _split(exponents[cut_letter:] + exponents[:cut_letter])
+                groups.setdefault((p, q), []).append((a_i, a_j, column))
         # per group: (P, Q, exponents a_i, exponents a_j,
         # (row, column, trace column) per word)
         self.groups = []
@@ -683,13 +659,37 @@ class SplitTracePlan:
             entries = [(rows.index(a_i), cols.index(a_j), column)
                        for a_i, a_j, column in members]
             self.groups.append((p, q, rows, cols, entries))
+        # per group, the keys of a dense D's factors D^a_i P and Q^T D^a_j, and
+        # of those that no later group reads; a key names the factor's parts
+        # in product order, an int for a power of D and pieces for M^b ...
+        self.factors = [[(a, p) for a in rows] + [(q[::-1], a) for a in cols]
+                        for p, q, rows, cols, _ in self.groups]
+        last = {key: index for index, keys in enumerate(self.factors) for key in keys}
+        self.spent: list[list] = [[] for _ in self.groups]
+        for key, index in last.items():
+            self.spent[index].append(key)
 
     def traces(self, pa: _Powers, pb: _Powers, out: np.ndarray) -> None:
         """Write tr(W)/N into the words' columns of ``out``, one row per pair of the stack."""
-        pd, pm = (pb, pa) if self.diagonal_letter else (pa, pb)
+        pd, pm = (pb, pa) if self.cut_letter else (pa, pb)
         dimension = pm.matrices.shape[-1]
         built: dict[tuple, np.ndarray] = {}
-        for p, q, rows, cols, entries in self.groups:
+        factors: dict[tuple, np.ndarray] = {}
+        for (p, q, rows, cols, entries), keys, spent in zip(self.groups, self.factors,
+                                                            self.spent):
+            if not pd.diagonal:
+                for key in keys:
+                    if key not in factors:
+                        factors[key] = np.matmul(*(
+                            pd.power(k) if isinstance(k, int) else _product(k, pd, pm, built)
+                            for k in key))
+                # tr(XY) is the sum of X o Y^T, X = D^a_i P and Y^T = Q^T D^a_j
+                for row, col, column in entries:
+                    x, y = factors[rows[row], p], factors[q[::-1], cols[col]]
+                    out[:, column] = np.einsum("cij,cij->c", x, y) / dimension
+                for key in spent:
+                    del factors[key]
+                continue
             h = _product(p, pd, pm, built) * np.swapaxes(_product(q, pd, pm, built), 1, 2)
             left = np.stack([pd.power(a) for a in rows], axis=1)
             right = np.stack([pd.power(a) for a in cols], axis=2)
@@ -729,11 +729,13 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     permutations come from the per-index streams of ``seed``.  Pairs are
     drawn one index at a time but processed as stacks (``_stack_groups``),
     one numpy call per step for the whole stack.  ``_short_traces`` traces
-    the words with at most one block of each letter; the stack's diagonal
-    flags pick the kernel for the rest: ``SplitTracePlan`` when exactly one
-    letter is diagonal, ``WordTracePlan`` otherwise; each plan is built
-    once, when the first stack of its kind appears.  A chunk's dense sums and rotated sums
-    share the calls of one ``spectra.DenseSpectra`` buffer, which holds at
+    the words with at most one block of each letter, and every word of a
+    stack whose letters are both diagonal: they commute, so a word is
+    A^alpha B^beta.  ``SplitTracePlan`` traces the rest, cut at the
+    diagonal letter, or at A when both letters are dense; each plan is
+    built once, when the first stack with its cut letter appears.  A
+    chunk's dense sums and rotated sums share the calls of one
+    ``spectra.DenseSpectra`` buffer, which holds at
     least a stack; a diagonal sum's spectrum is its sorted diagonal.  With
     ``threads`` > 1 (and at least two indices per thread) contiguous chunks
     of indices run on a thread pool, and the first failing chunk in index
@@ -748,16 +750,14 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     free_pool = np.empty((count * free_rotations, dimension)) if free_rotations else None
     classical_pool = np.empty((count, dimension)) if with_classical else None
 
-    # plans by the diagonal letter of a mixed stack, None for one kind
-    plans: dict[int | None, WordTracePlan | SplitTracePlan] = {}
+    plans: dict[int, SplitTracePlan] = {}  # by cut letter
     plans_lock = threading.Lock()
 
-    def plan_for(diagonal):
-        kind = diagonal.index(True) if diagonal[0] != diagonal[1] else None
+    def plan_for(cut_letter):
         with plans_lock:
-            if kind not in plans:
-                plans[kind] = WordTracePlan(words) if kind is None else SplitTracePlan(words, kind)
-            return plans[kind]
+            if cut_letter not in plans:
+                plans[cut_letter] = SplitTracePlan(words, cut_letter)
+            return plans[cut_letter]
 
     height = max(1, _CELL_BUDGET // (dimension * dimension))  # pairs per stack
 
@@ -776,8 +776,12 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                         for out, part in spectra.slots(sums, at):
                             np.add(a[part], b[part], out=out)
                 row = np.empty((len(at), len(words)))
-                _short_traces(short, pa, pb, row)
-                plan_for(diagonal).traces(pa, pb, row)
+                if all(diagonal):
+                    _short_traces(enumerate(w.blocks for w in words), pa, pb, row)
+                else:
+                    _short_traces(short, pa, pb, row)
+                    # cut at the diagonal letter, or at A when both are dense
+                    plan_for(int(diagonal == (False, True))).traces(pa, pb, row)
                 traces[at] = row
                 for j in range(free_rotations):
                     for out, part in spectra.slots(free_pool, at * free_rotations + j):
@@ -825,18 +829,22 @@ def word_trace_table(pairs, words) -> np.ndarray:
     return sample_tables(pairs.__getitem__, len(pairs), pairs[0].dimension, words).traces
 
 
+def column_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and Monte Carlo SE, std/sqrt(t), of every column of a (t, W) table.
+
+    Each column is reduced as a contiguous row of the transpose: numpy sums
+    pairwise along the last axis only, so it sums as its own 1-D slice would.
+    """
+    t = table.shape[0]
+    rows = np.ascontiguousarray(table.T)
+    return rows.mean(axis=1), rows.std(axis=1, ddof=1 if t > 1 else 0) / math.sqrt(t)
+
+
 def estimate_word_net(samples, word: Word) -> tuple[float, float]:
     """Monte Carlo mean of tr(word)/N over samples and its standard error.
 
-    The SE follows the variance proxy sqrt((<W^2> - <W>^2)/t) where <W^2>
-    is the raw normalized trace of the doubled word; the radicand is
-    clamped at zero (products of indefinite symmetric factors can have
-    complex eigenvalue pairs making tr(W^2) small or negative).
+    The SE is the sample standard deviation of tr(word)/N over the samples
+    (ddof = 1) over sqrt(t), the rule the degree scan uses (``column_stats``).
     """
-    table = word_trace_table(samples, [word, Word(word.blocks * 2, word.k)])
-    v = table[:, 0]
-    sq = table[:, 1]
-    t = len(v)
-    mean = float(v.mean())
-    se = math.sqrt(max(0.0, float(sq.mean()) - mean * mean) / t)
-    return mean, se
+    mean, se = column_stats(word_trace_table(samples, [word]))
+    return float(mean[0]), float(se[0])

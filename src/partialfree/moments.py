@@ -302,7 +302,7 @@ def centering_map(words, mu_a, mu_b) -> np.ndarray:
     (1 for the empty word), ``raw @ M`` holds tr(prod (X^e - mu_e(X)))/N.
     M has a unit diagonal and otherwise only entries M[i, j] with i < j,
     from words shorter than word j.  The words are taken as given, least
-    rotations over A (0) and B (1), as ``matrices.WordTracePlan`` takes them.
+    rotations over A (0) and B (1), as ``matrices.SplitTracePlan`` takes them.
 
     Column j sums the terms of ``_block_deletions`` of word j's canonical
     blocks, in the same bit-mask order and with the same products.  The

@@ -14,7 +14,6 @@ from partialfree.matrices import (
     MatrixPairSample,
     SplitTracePlan,
     SpectrumSample,
-    WordTracePlan,
     chain_adjacency,
     estimate_moments,
     estimate_word_net,
@@ -190,10 +189,23 @@ def test_estimate_word_net_pauli_exact():
     est3, se3 = estimate_word_net(samples, Word.from_string("ABABAB"))
     assert est3 == pytest.approx(1.0, abs=1e-12)
     assert se3 == pytest.approx(0.0, abs=1e-9)
-    # the doubled word AA overflows: InputError naming its order, not inf
+    # AA overflows: InputError naming its order, not inf
     huge = [MatrixPairSample(np.eye(2) * 1e200, np.eye(2))]
     with pytest.raises(InputError, match="order 2"):
-        estimate_word_net(huge, Word.from_string("A"))
+        estimate_word_net(huge, Word.from_string("AA"))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(EnsembleSpec.goe(8, seed=5), id="goe"),
+    pytest.param(EnsembleSpec.tridiagonal_adjacency(8, seed=6), id="chain"),
+])
+def test_estimate_word_net_se_is_the_sample_spread(spec):
+    # the SE of the mean over the samples, the rule of the degree scan
+    samples = [sample_pair(spec, i) for i in range(50)]
+    word = Word.from_string("ABABAB")
+    column = word_trace_table(samples, [word])[:, 0].copy()
+    assert estimate_word_net(samples, word) == (column.mean(),
+                                                column.std(ddof=1) / math.sqrt(50))
 
 
 def test_estimate_word_net_cross_word_near_zero():
@@ -445,6 +457,7 @@ def test_word_traces_match_block_power_oracle(draw):
     pytest.param(partial(sample_pair, EnsembleSpec.tridiagonal_adjacency(8, seed=43)),
                  id="tridiagonal-adjacency"),
     pytest.param(_goe_against_diagonal, id="goe-against-diagonal"),
+    pytest.param(partial(sample_pair, EnsembleSpec.goe(6, seed=41)), id="goe"),
 ])
 def test_mixed_kernel_reads_reversed_products(draw):
     # from order 10 on, a word may need a sandwich product in the reverse of
@@ -461,22 +474,28 @@ def test_mixed_kernel_reads_reversed_products(draw):
 
 def test_each_word_is_traced_in_one_place():
     # the empty word, X^k and A^a B^b (at most one block of each letter) are
-    # traced by the pass itself; both kernels take only the longer words
+    # traced by the pass itself; the kernel takes only the longer words
     from partialfree.analysis import _table_words
 
     words = _table_words(10)
     longer = [j for j, word in enumerate(words) if len(word.blocks) >= 4]
     assert len(words) - len(longer) == 66
-    assert sorted(column for column, *_ in WordTracePlan(words).steps) == longer
-    for diagonal_letter in (0, 1):
-        groups = SplitTracePlan(words, diagonal_letter).groups
+    for cut_letter in (0, 1):
+        groups = SplitTracePlan(words, cut_letter).groups
         assert sorted(column for *_, entries in groups for *_, column in entries) == longer
 
 
-@pytest.mark.parametrize("order, products", [(8, 2), (10, 6), (12, 16)])
-def test_split_kernel_builds_each_sandwich_product_once(monkeypatch, order, products):
-    # one stack of chain pairs: every product M^b D^a M^b' ... that the
-    # groups need is built once and then reused, in either orientation
+_SANDWICH_DRAWS = {"": partial(sample_pair, EnsembleSpec.tridiagonal_adjacency(8, seed=43)),
+                   "goe-": partial(sample_pair, EnsembleSpec.goe(8, seed=41))}
+
+
+@pytest.mark.parametrize("draw, order, products", [
+    pytest.param(draw, order, products, id=f"{name}{order}-{products}")
+    for name, draw in _SANDWICH_DRAWS.items() for order, products in [(8, 2), (10, 6), (12, 16)]
+])
+def test_split_kernel_builds_each_sandwich_product_once(monkeypatch, draw, order, products):
+    # one stack of pairs: every product M^b D^a M^b' ... that the groups
+    # need is built once and then reused, in either orientation
     from partialfree import matrices
     from partialfree.analysis import _table_words
 
@@ -491,10 +510,51 @@ def test_split_kernel_builds_each_sandwich_product_once(monkeypatch, order, prod
         return out
 
     monkeypatch.setattr(matrices, "_product", counted)
-    draw = partial(sample_pair, EnsembleSpec.tridiagonal_adjacency(8, seed=43))
     sample_tables(draw, 3, 8, _table_words(order))
     assert (sum(builds), len(memos[-1])) == (products, products)
     assert all(memo is memos[0] for memo in memos)
+
+
+def _split_by_every_form(exponents):
+    # the cut rule as stated: every form is built and ranked
+    forms = []
+    for i in range(0, len(exponents), 2):
+        cycle = exponents[i:] + exponents[:i]
+        for j in range(2, len(cycle), 2):
+            p, q = tuple(cycle[1:j]), tuple(cycle[j + 1:])
+            forms += [(p, q, cycle[0], cycle[j]), (q[::-1], p[::-1], cycle[0], cycle[j])]
+    return min(forms, key=lambda f: (sum(f[0]) ** 2 + sum(f[1]) ** 2,
+                                     len(f[0]), f[0], len(f[1]), f[1]))
+
+
+def test_split_ranks_cuts_as_the_full_rule(monkeypatch):
+    # ranking cuts on prefix sums first picks the same form for every word
+    from partialfree import matrices
+    from partialfree.analysis import _table_words
+
+    words = _table_words(12)
+    plans = [SplitTracePlan(words, cut_letter).groups for cut_letter in (0, 1)]
+    monkeypatch.setattr(matrices, "_split", _split_by_every_form)
+    assert plans == [SplitTracePlan(words, cut_letter).groups for cut_letter in (0, 1)]
+
+
+def test_diagonal_stacks_trace_letter_counts():
+    # diagonal letters commute: each longer word of an all-diagonal stack is
+    # traced as A^alpha B^beta, its letter counts
+    from partialfree.analysis import _table_words
+
+    draw = partial(sample_pair, EnsembleSpec.gaussian_diagonal(6, seed=42))
+    words = _table_words(10)
+    traces = sample_tables(draw, 3, 6, words).traces
+    for j, word in enumerate(words):
+        if len(word.blocks) >= 4:
+            counts = [sum(e for letter, e in word.blocks if letter == x) for x in (0, 1)]
+            short = words.index(Word(((0, counts[0]), (1, counts[1])), 2))
+            assert np.array_equal(traces[:, j], traces[:, short]), word
+    for i in range(3):
+        pair = draw(i)
+        want = np.mean(np.diagonal(pair.a) ** 3 * np.diagonal(pair.b) ** 3)
+        assert traces[i, words.index(Word.from_string("ABABAB"))] == pytest.approx(want)
 
 
 def test_sampling_pass_leaves_no_cyclic_garbage():

@@ -154,3 +154,25 @@ def test_float_moments_give_floats():
     value = exact_word_net(Word.from_string("AABB"), model)
     assert isinstance(value, float)
     assert value == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_open_chain_degree_matches_its_exact_deviation(seed):
+    # the open chain first departs from freeness at ABBABB, by the walk sums'
+    # boundary term (2n - 4)/n^2 = 3/16 at n = 8; the whole pipeline must find
+    # that order and word and estimate that value, derived apart from it
+    from partialfree.analysis import AnalysisConfig, run_analysis
+    from partialfree.moments import free_joint_moment
+
+    model = chain(8, circulant=False)
+    word = Word.from_string("ABBABB")
+    mu_a = (1,) + GAUSS8
+    mu_b = [1] + [exact_word_net(Word(((1, k),), 2), model) for k in range(1, 9)]
+    deviation = exact_word_net(word, model) - free_joint_moment(word, mu_a, mu_b)
+    assert deviation == Fraction(3, 16)
+    spec = EnsembleSpec.tridiagonal_adjacency(8, seed=seed, circulant=False)
+    report = run_analysis(AnalysisConfig(spec, 2000, 8, alpha=0.01))
+    assert report.degree == 6
+    assert [row.word for row in report.words if row.flagged_free] == [word]
+    (row,) = [row for row in report.words if row.word == word]
+    assert abs(row.centered_estimate - float(deviation)) <= 4 * row.centered_se
