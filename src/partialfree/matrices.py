@@ -632,11 +632,12 @@ class SplitTracePlan:
     product): H = P o Q^T is formed once, and two batched matmuls of the
     stacked powers of d with H give every (a_i, a_j) of the group.  For a
     dense D it is the sum of X o Y^T with the factors X = D^a_i P and
-    Y^T = Q^T D^a_j, one einsum per word; each factor is built once (23, 54
-    and 123 at K = 8, 10 and 12) and dropped after the last group that reads
-    it (at most 9, 20 and 41 live).  No eigenbasis is taken, so integer
-    matrices (the Pauli pair) keep exact traces.  Every step batches over
-    the stack axis only, so each pair's traces are a function of that pair.
+    Y^T = Q^T D^a_j, summed by rows, then over rows; each factor is built
+    once (23, 54 and 123 at K = 8, 10 and 12) and dropped after the last
+    group that reads it (at most 9, 20 and 41 live).  No eigenbasis is
+    taken, so integer matrices (the Pauli pair) keep exact traces.  Every
+    sum runs within one pair and over at most n terms at once (numpy cuts
+    longer stacked sums in pieces), so each pair's traces are its own.
     The words are taken as given: least rotations over the letters A (0)
     and B (1), which start with an A block.  The plan is immutable and can
     be shared between threads.
@@ -686,7 +687,7 @@ class SplitTracePlan:
                 # tr(XY) is the sum of X o Y^T, X = D^a_i P and Y^T = Q^T D^a_j
                 for row, col, column in entries:
                     x, y = factors[rows[row], p], factors[q[::-1], cols[col]]
-                    out[:, column] = np.einsum("cij,cij->c", x, y) / dimension
+                    out[:, column] = np.einsum("cij,cij->ci", x, y).sum(axis=1) / dimension
                 for key in spent:
                     del factors[key]
                 continue
@@ -735,12 +736,12 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     diagonal letter, or at A when both letters are dense; each plan is
     built once, when the first stack with its cut letter appears.  A
     chunk's dense sums and rotated sums share the calls of one
-    ``spectra.DenseSpectra`` buffer, which holds at
-    least a stack; a diagonal sum's spectrum is its sorted diagonal.  With
-    ``threads`` > 1 (and at least two indices per thread) contiguous chunks
-    of indices run on a thread pool, and the first failing chunk in index
-    order raises, so the error is the one a serial loop would meet first.
-    Every quantity is a function of the index alone, so the tables depend
+    ``spectra.DenseSpectra`` buffer, which takes each stack whole; a
+    diagonal sum's spectrum is its sorted diagonal.  With ``threads`` > 1
+    (and at least two indices per thread) contiguous chunks of indices run
+    on a thread pool, and the first failing chunk in index order raises,
+    so the error is the one a serial loop would meet first.  Every
+    quantity is a function of the index alone, so the tables depend
     neither on ``threads`` nor on how the stacks or batches are cut.
     """
     words = list(words)
@@ -773,8 +774,7 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                     if all(diagonal):
                         sums[at] = _eigenvalues(a + b, True)
                     else:
-                        for out, part in spectra.slots(sums, at):
-                            np.add(a[part], b[part], out=out)
+                        np.add(a, b, out=spectra.slot(sums, at))
                 row = np.empty((len(at), len(words)))
                 if all(diagonal):
                     _short_traces(enumerate(w.blocks for w in words), pa, pb, row)
@@ -784,9 +784,8 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                     plan_for(int(diagonal == (False, True))).traces(pa, pb, row)
                 traces[at] = row
                 for j in range(free_rotations):
-                    for out, part in spectra.slots(free_pool, at * free_rotations + j):
-                        _free_sums(a[part], b[part],
-                                   (stream(seed, i, _FREE_STREAM, j) for i in at[part]), out)
+                    _free_sums(a, b, (stream(seed, i, _FREE_STREAM, j) for i in at),
+                               spectra.slot(free_pool, at * free_rotations + j))
                 if classical_pool is not None:
                     perms = np.stack([stream(seed, i, _CLASSICAL_STREAM).permutation(
                         dimension) for i in at])

@@ -96,13 +96,12 @@ class LatticeModel:
         return self.entry_moments[order - 1]
 
 
-def _walk_sum(model: LatticeModel, steps, start: int):
+def _walk_sum(model: LatticeModel, neighbors, steps, start: int):
     """Sum of expected weights over closed walks from ``start``.
 
     ``steps`` holds an int e per A block, which deposits e powers of the
-    entry at the walker's site, and None per B factor, a hop along an edge.
+    entry at the walker's site, and None per B factor, a hop to a neighbor.
     """
-    neighbors = [np.flatnonzero(model.adjacency[i]) for i in range(model.size)]
     exact = all(isinstance(m, (int, Fraction)) for m in model.entry_moments)
     total = Fraction(0) if exact else 0.0
 
@@ -118,7 +117,7 @@ def _walk_sum(model: LatticeModel, steps, start: int):
         e = steps[i]
         if e is None:
             for nxt in neighbors[site]:
-                visit(i + 1, int(nxt), deposits)
+                visit(i + 1, nxt, deposits)
             return
         deposits[site] = deposits.get(site, 0) + e
         visit(i + 1, site, deposits)
@@ -149,9 +148,10 @@ def exact_word_net(word: Word, model: LatticeModel):
         )
     # a step per A block, not per symbol: A^e is one recursion level at any e
     steps = [step for letter, e in word.blocks for step in ([None] * e if letter else [e])]
+    neighbors = [np.flatnonzero(row).tolist() for row in model.adjacency]
     if model.translation_invariant:
-        return _walk_sum(model, steps, 0)
-    total = sum(_walk_sum(model, steps, s) for s in range(model.size))
+        return _walk_sum(model, neighbors, steps, 0)
+    total = sum(_walk_sum(model, neighbors, steps, s) for s in range(model.size))
     n = model.size
     if isinstance(total, (int, Fraction)):
         return Fraction(total, n) if isinstance(total, int) else total / n

@@ -16,33 +16,27 @@ GIL_EIGENVALUES = 500
 class DenseSpectra:
     """The dense eigensolves of one chunk of indices of the sampling pass.
 
-    ``slots(table, rows)`` yields (out, part) pairs: the caller writes the
-    matrices of the stack's slice ``part`` into ``out``, and their spectra
-    go to ``table[rows[part]]``.  Every stack goes, in slices, into one
-    buffer of max(``GIL_EIGENVALUES // n + 1``, ``stack``) matrices, solved
-    by one call whenever it is full and by ``flush`` at the chunk's end.
+    ``slot(table, rows)`` returns buffer space for a whole stack: the caller
+    writes its matrices there, and their spectra go to ``table[rows]``.  The
+    buffer holds ``GIL_EIGENVALUES // n + stack`` matrices and is solved by
+    one call when the next stack would not fit, so after more than
+    ``GIL_EIGENVALUES // n`` matrices, and by ``flush`` at the chunk's end.
     ``eigvalsh`` solves each matrix on its own, so the spectra do not
     depend on how the batches are cut.
     """
 
     def __init__(self, dimension: int, stack: int):
-        self.buffer = np.empty((max(GIL_EIGENVALUES // dimension + 1, stack),
-                                dimension, dimension))
+        self.buffer = np.empty((GIL_EIGENVALUES // dimension + stack, dimension, dimension))
         self.used = 0
-        # (table, rows, offset in the buffer) of the buffered slices
+        # (table, rows, offset in the buffer) of the buffered stacks
         self.targets: list[tuple[np.ndarray, np.ndarray, int]] = []
 
-    def slots(self, table: np.ndarray, rows: np.ndarray):
-        start = 0
-        while start < len(rows):
-            take = min(len(rows) - start, len(self.buffer) - self.used)
-            part = slice(start, start + take)
-            yield self.buffer[self.used:self.used + take], part
-            self.targets.append((table, rows[part], self.used))
-            self.used += take
-            start += take
-            if self.used == len(self.buffer):
-                self.flush()
+    def slot(self, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if self.used + len(rows) > len(self.buffer):
+            self.flush()
+        self.targets.append((table, rows, self.used))
+        self.used += len(rows)
+        return self.buffer[self.used - len(rows):self.used]
 
     def flush(self) -> None:
         """Solve the buffered matrices and scatter their spectra to their rows."""

@@ -668,13 +668,14 @@ def _mixed_pair_file(path, n=5, t=23, seed=61):
             fh.write(json.dumps({"A": a.tolist(), "B": b.tolist()}) + "\n")
 
 
-@pytest.mark.parametrize("variant", ["goe", "goe-24", "gaussian-diagonal", "tridiagonal",
-                                     "mixed-file"])
+@pytest.mark.parametrize("variant", ["goe", "goe-24", "goe-100", "gaussian-diagonal",
+                                     "tridiagonal", "mixed-file"])
 def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
     # stacks of 1, 7 (ragged) and all t pairs, on one thread or two, give
-    # bit-identical raw tables: the dense spectra share one buffer across
-    # stacks up to each chunk's end, which holds at least a whole stack (at
-    # n = 24, 21 matrices or the stack of all t pairs)
+    # bit-identical raw tables: the dense spectra share one buffer of
+    # ⌊500/n⌋ + c matrices across stacks of c pairs up to each chunk's end,
+    # and at n = 100 a dense-cut word's trace sums n^2 > 8192 products,
+    # which must not depend on the stack's height either
     from partialfree import matrices
     from partialfree.analysis import _table_words
     from partialfree.matrices import sample_tables, word_trace_table
@@ -686,6 +687,7 @@ def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
     else:
         spec = {"goe": EnsembleSpec.goe(6, seed=62),
                 "goe-24": EnsembleSpec.goe(24, seed=65),
+                "goe-100": EnsembleSpec.goe(100, seed=66),
                 "gaussian-diagonal": EnsembleSpec.gaussian_diagonal(6, seed=63),
                 "tridiagonal": EnsembleSpec.tridiagonal_adjacency(8, seed=64)}[variant]
     n = spec.dimension

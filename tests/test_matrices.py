@@ -327,9 +327,9 @@ def test_diagonal_eigenvalues_are_the_sorted_diagonal():
 
 
 def test_dense_spectra_batches_give_the_same_bits_wherever_they_are_cut(monkeypatch):
-    # at n = 100 a stack holds 6 pairs and the buffer 6 matrices: stacks of
-    # 1-4 straddle its end, a stack of 6 fills the rest of the buffer and
-    # waits with its other half, and the chunk's end flushes the rest
+    # at n = 100 a stack holds 6 pairs and the buffer 5 + 6 matrices: the
+    # stack of 4 that would not fit solves the 10 before it, and the stack
+    # of 6 fills the buffer exactly, which the chunk's end solves
     from partialfree.matrices import _CELL_BUDGET
     from partialfree.spectra import DenseSpectra
 
@@ -346,12 +346,11 @@ def test_dense_spectra_batches_give_the_same_bits_wherever_they_are_cut(monkeypa
     start = 0
     for size in sizes:
         stack = g[rows[start:start + size]]
-        for out, part in spectra.slots(got, rows[start:start + size]):
-            np.add(stack[part], np.swapaxes(stack[part], 1, 2), out=out)
+        np.add(stack, np.swapaxes(stack, 1, 2), out=spectra.slot(got, rows[start:start + size]))
         start += size
     spectra.flush()
     assert np.array_equal(got, want)
-    assert calls == [(6, n, n), (6, n, n), (6, n, n), (3, n, n)]
+    assert calls == [(10, n, n), (11, n, n)]
 
 
 def test_a_chunks_sums_and_rotated_sums_share_one_eigensolve(monkeypatch):
