@@ -52,9 +52,11 @@ from .moments import (
     classical_cumulants_from_moments,
     classical_joint_moment,
     free_convolve,
+    free_joint_moment,
     free_word_moments,
     moments_from_classical_cumulants,
 )
+from .pathsum import LatticeModel, exact_word_net, gaussian_entry_moments
 from .series import hermite
 from .words import Word, necklace_count, word_expansion
 
@@ -805,22 +807,21 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
 
 
 def _walk_sum_notes(spec: EnsembleSpec, flagged) -> list[str]:
-    """Exact walk-sum values for flagged words on chain-adjacency ensembles."""
+    """Exact deviations from freeness (walk sum less free value) of flagged chain words."""
     if spec.variant != "tridiagonal-adjacency":
         return []
-    from .pathsum import LatticeModel, exact_word_net, gaussian_entry_moments
-
-    notes = []
-    for stat in flagged:
-        order = stat.word.length
-        model = LatticeModel.chain(spec.dimension, gaussian_entry_moments(order),
-                                   circulant=spec.circulant)
+    moments = gaussian_entry_moments(flagged[0].word.length)  # all of the degree's length
+    model = LatticeModel.chain(spec.dimension, moments, circulant=spec.circulant)
+    notes, mu_b = [], [1]
+    for word in [stat.word for stat in flagged]:
         try:
-            value = exact_word_net(stat.word, model)
+            mu_b += [exact_word_net(Word(((1, k),), 2), model)  # through the word's B count
+                     for k in range(len(mu_b), sum(word.symbols) + 1)]
+            value = exact_word_net(word, model) - free_joint_moment(word, (1, *moments), mu_b)
         except (ResourceLimitError, ValueError):
             continue
-        notes.append(
-            f"exact walk-sum value for {stat.word.to_string()}: {float(value)!r}")
+        notes.append(f"exact walk-sum deviation from freeness for {word.to_string()}: "
+                     f"{float(value)!r}")
     return notes
 
 

@@ -9,11 +9,9 @@ distinct indices give independent streams.
 from __future__ import annotations
 
 import codecs
-import itertools
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -571,33 +569,17 @@ def _split(exponents: list) -> tuple:
     listed with its transposed form (reversed Q, reversed P), which has the
     same trace.  The form taken halves the word's letters most nearly, so
     its pieces are short and shared by many words; ties go to the least
-    pieces, so every word that a cut serves names it by the same form.
-    Only the cuts that tie for the best balance build their pieces.
+    (len P, P, len Q, Q), so every word that a cut serves names it by the
+    same form, and a full tie to the form listed first.
     """
-    size = len(exponents)
-    cycle = exponents + exponents
-    sums = list(itertools.accumulate(cycle, initial=0))
-    total = sums[size]
-    best = None
-    for i in range(0, size, 2):
-        a_i, start = cycle[i], sums[i + 1]
-        for j in range(i + 2, i + size, 2):
-            inner = sums[j] - start
-            outer = total - inner - a_i - cycle[j]
-            balance = inner * inner + outer * outer
-            if best is None or balance < best:
-                best, cuts = balance, [(i, j)]
-            elif balance == best:
-                cuts.append((i, j))
-    # P and Q have size - 2 pieces between them, so (len P, P, Q) ranks the
-    # forms as (len P, P, len Q, Q) would; a full tie keeps the one listed first
     forms = []
-    for i, j in cuts:
-        p, q = tuple(cycle[i + 1:j]), tuple(cycle[j + 1:i + size])
-        forms += [(len(p), p, q, len(forms), cycle[i], cycle[j]),
-                  (len(q), q[::-1], p[::-1], len(forms) + 1, cycle[i], cycle[j])]
-    _, p, q, _, a_i, a_j = min(forms)
-    return p, q, a_i, a_j
+    for i in range(0, len(exponents), 2):
+        cycle = exponents[i:] + exponents[:i]
+        for j in range(2, len(cycle), 2):
+            p, q = tuple(cycle[1:j]), tuple(cycle[j + 1:])
+            forms += [(p, q, cycle[0], cycle[j]), (q[::-1], p[::-1], cycle[0], cycle[j])]
+    return min(forms, key=lambda f: (sum(f[0]) ** 2 + sum(f[1]) ** 2,
+                                     len(f[0]), f[0], len(f[1]), f[1]))
 
 
 def _product(pieces: tuple, pd: _Powers, pm: _Powers, built: dict) -> np.ndarray:
@@ -639,8 +621,7 @@ class SplitTracePlan:
     sum runs within one pair and over at most n terms at once (numpy cuts
     longer stacked sums in pieces), so each pair's traces are its own.
     The words are taken as given: least rotations over the letters A (0)
-    and B (1), which start with an A block.  The plan is immutable and can
-    be shared between threads.
+    and B (1), which start with an A block.
     """
 
     def __init__(self, words, cut_letter: int):
@@ -733,16 +714,15 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     the words with at most one block of each letter, and every word of a
     stack whose letters are both diagonal: they commute, so a word is
     A^alpha B^beta.  ``SplitTracePlan`` traces the rest, cut at the
-    diagonal letter, or at A when both letters are dense; each plan is
-    built once, when the first stack with its cut letter appears.  A
-    chunk's dense sums and rotated sums share the calls of one
-    ``spectra.DenseSpectra`` buffer, which takes each stack whole; a
-    diagonal sum's spectrum is its sorted diagonal.  With ``threads`` > 1
-    (and at least two indices per thread) contiguous chunks of indices run
-    on a thread pool, and the first failing chunk in index order raises,
-    so the error is the one a serial loop would meet first.  Every
-    quantity is a function of the index alone, so the tables depend
-    neither on ``threads`` nor on how the stacks or batches are cut.
+    diagonal letter, or at A when both letters are dense.  A chunk's dense
+    sums and rotated sums share the calls of one ``spectra.DenseSpectra``
+    buffer, which takes each stack whole; a diagonal sum's spectrum is its
+    sorted diagonal.  With ``threads`` > 1 (and at least two indices per
+    thread) contiguous chunks of indices run on a thread pool, sharing
+    only their disjoint rows of the tables, and the first failing chunk in
+    index order raises, so the error is the one a serial loop would meet
+    first.  Every quantity is a function of the index alone, so the tables
+    depend neither on ``threads`` nor on how the stacks or batches are cut.
     """
     words = list(words)
     short = [(column, word.blocks) for column, word in enumerate(words) if len(word.blocks) < 4]
@@ -751,19 +731,11 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     free_pool = np.empty((count * free_rotations, dimension)) if free_rotations else None
     classical_pool = np.empty((count, dimension)) if with_classical else None
 
-    plans: dict[int, SplitTracePlan] = {}  # by cut letter
-    plans_lock = threading.Lock()
-
-    def plan_for(cut_letter):
-        with plans_lock:
-            if cut_letter not in plans:
-                plans[cut_letter] = SplitTracePlan(words, cut_letter)
-            return plans[cut_letter]
-
     height = max(1, _CELL_BUDGET // (dimension * dimension))  # pairs per stack
 
     def run_chunk(indices):
         pa = pb = None
+        plans: dict[int, SplitTracePlan] = {}  # by cut letter
         spectra = DenseSpectra(dimension, height)
         # errstate is per thread; the finite checks of the tables and of
         # the statistics derived from them report overflow
@@ -781,7 +753,10 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                 else:
                     _short_traces(short, pa, pb, row)
                     # cut at the diagonal letter, or at A when both are dense
-                    plan_for(int(diagonal == (False, True))).traces(pa, pb, row)
+                    cut = int(diagonal == (False, True))
+                    if cut not in plans:
+                        plans[cut] = SplitTracePlan(words, cut)
+                    plans[cut].traces(pa, pb, row)
                 traces[at] = row
                 for j in range(free_rotations):
                     _free_sums(a, b, (stream(seed, i, _FREE_STREAM, j) for i in at),

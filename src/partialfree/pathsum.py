@@ -149,13 +149,8 @@ def exact_word_net(word: Word, model: LatticeModel):
     # a step per A block, not per symbol: A^e is one recursion level at any e
     steps = [step for letter, e in word.blocks for step in ([None] * e if letter else [e])]
     neighbors = [np.flatnonzero(row).tolist() for row in model.adjacency]
-    if model.translation_invariant:
-        return _walk_sum(model, neighbors, steps, 0)
-    total = sum(_walk_sum(model, neighbors, steps, s) for s in range(model.size))
-    n = model.size
-    if isinstance(total, (int, Fraction)):
-        return Fraction(total, n) if isinstance(total, int) else total / n
-    return total / n
+    starts = [0] if model.translation_invariant else range(model.size)
+    return sum(_walk_sum(model, neighbors, steps, s) for s in starts) / len(starts)
 
 
 def boundary_corrected_word_net(word: Word, model: LatticeModel):

@@ -774,8 +774,8 @@ def test_tridiagonal_report_carries_walk_sum_note():
                             threads=2)
     report = run_analysis(config)
     assert report.degree == 8
-    notes = [n for n in report.notes if n.startswith("exact walk-sum value")]
-    assert notes == ["exact walk-sum value for ABABABAB: 2.0"]
+    notes = [n for n in report.notes if n.startswith("exact walk-sum deviation")]
+    assert notes == ["exact walk-sum deviation from freeness for ABABABAB: 2.0"]
 
 
 def test_word_rows_are_built_for_the_reported_order_only(monkeypatch):

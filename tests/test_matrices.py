@@ -514,27 +514,19 @@ def test_split_kernel_builds_each_sandwich_product_once(monkeypatch, draw, order
     assert all(memo is memos[0] for memo in memos)
 
 
-def _split_by_every_form(exponents):
-    # the cut rule as stated: every form is built and ranked
-    forms = []
-    for i in range(0, len(exponents), 2):
-        cycle = exponents[i:] + exponents[:i]
-        for j in range(2, len(cycle), 2):
-            p, q = tuple(cycle[1:j]), tuple(cycle[j + 1:])
-            forms += [(p, q, cycle[0], cycle[j]), (q[::-1], p[::-1], cycle[0], cycle[j])]
-    return min(forms, key=lambda f: (sum(f[0]) ** 2 + sum(f[1]) ** 2,
-                                     len(f[0]), f[0], len(f[1]), f[1]))
-
-
-def test_split_ranks_cuts_as_the_full_rule(monkeypatch):
-    # ranking cuts on prefix sums first picks the same form for every word
-    from partialfree import matrices
-    from partialfree.analysis import _table_words
-
-    words = _table_words(12)
-    plans = [SplitTracePlan(words, cut_letter).groups for cut_letter in (0, 1)]
-    monkeypatch.setattr(matrices, "_split", _split_by_every_form)
-    assert plans == [SplitTracePlan(words, cut_letter).groups for cut_letter in (0, 1)]
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec.goe(16, seed=4), EnsembleSpec.goe(200, seed=4),
+    EnsembleSpec.gaussian_diagonal(16, seed=4), EnsembleSpec.tridiagonal_adjacency(16, seed=4),
+], ids=lambda spec: f"{spec.variant}{spec.dimension}")
+def test_pass_sums_are_the_public_sum_spectra(spec):
+    # the pass solves dense sums in batches and sorts diagonal ones; each row
+    # is still, bit for bit, the spectrum of that pair's sum on its own
+    sums = sample_tables(partial(sample_pair, spec), 6, spec.dimension, [],
+                         with_sums=True).sums
+    for i in range(6):
+        want = sample_sum_spectrum(sample_pair(spec, i))
+        assert want.source == "A+B"
+        assert np.array_equal(sums[i], want.eigenvalues), i
 
 
 def test_diagonal_stacks_trace_letter_counts():

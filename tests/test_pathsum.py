@@ -176,3 +176,4 @@ def test_open_chain_degree_matches_its_exact_deviation(seed):
     assert [row.word for row in report.words if row.flagged_free] == [word]
     (row,) = [row for row in report.words if row.word == word]
     assert abs(row.centered_estimate - float(deviation)) <= 4 * row.centered_se
+    assert "exact walk-sum deviation from freeness for ABBABB: 0.1875" in report.notes

@@ -18,6 +18,30 @@ from partialfree.series import (
 from oracles import lagrange_revert
 
 
+def test_series_arithmetic_and_evaluation():
+    p = PowerSeries([1, 2, Fraction(1, 3)])
+    q = PowerSeries([Fraction(1, 2), -1])
+    value = p(Fraction(1, 2))
+    assert value == Fraction(25, 12) and isinstance(value, Fraction)
+    assert p.scale(3).coeffs == (3, 6, 1)
+    # binary operations truncate to the shorter operand
+    assert (p + q).coeffs == (Fraction(3, 2), 1)
+    assert (p - q).coeffs == (Fraction(1, 2), 3)
+    assert (-p).coeffs == (-1, -2, Fraction(-1, 3))
+    assert (p.order, len(p), p[1], p[-1]) == (2, 3, 2, Fraction(1, 3))
+    x = PowerSeries.identity(3)
+    assert x.coeffs == (0, 1, 0, 0) and x(Fraction(2, 3)) == Fraction(2, 3)
+    with pytest.raises(ValueError, match="order >= 1"):
+        PowerSeries.identity(0)
+    # equal coefficients compare and hash equal, whatever their number type
+    same = PowerSeries([3.0, 6, Fraction(1)])
+    assert p.scale(3) == same and hash(p.scale(3)) == hash(same)
+    assert p != PowerSeries([1, 2]) and p != (1, 2, Fraction(1, 3))
+    f = PowerSeries([1.0, 2.0, 0.5])
+    assert f(0.5) == 2.125
+    assert np.array_equal(f(np.array([0.0, 1.0, -2.0])), [1.0, 3.5, -1.0])
+
+
 def test_multiply_examples():
     one_plus = PowerSeries([1, 1, 0])
     one_minus = PowerSeries([1, -1, 0])
