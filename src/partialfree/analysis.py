@@ -454,6 +454,8 @@ def localize_violations(samples, degree: int, alpha: float,
     samples = list(samples)
     if degree < 1:
         raise ConfigError(f"need degree >= 1, got {degree}")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     if not samples:
         raise ConfigError("need samples")
     tables = _sample_words(samples.__getitem__, len(samples), samples[0].dimension, degree,

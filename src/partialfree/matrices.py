@@ -322,18 +322,6 @@ def _diagonal_flags(stack: np.ndarray) -> np.ndarray:
     return ~off.any(axis=(1, 2))
 
 
-def _eigenvalues(stack: np.ndarray, diagonal: bool) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of a (c, n, n) stack.
-
-    A diagonal matrix's eigenvalues are its sorted diagonal, with no
-    eigensolve; at ordinary scales that is what ``eigvalsh`` returns bit
-    for bit, and it stays exact where LAPACK would rescale the matrix.
-    """
-    if diagonal:
-        return np.sort(np.diagonal(stack, axis1=1, axis2=2), axis=1)
-    return np.linalg.eigvalsh(stack)
-
-
 def _free_sums(a: np.ndarray, b: np.ndarray, rngs, out: np.ndarray) -> np.ndarray:
     """Write a[i] + Q_i b[i] Q_i^T into out[i], Q_i Haar from normals drawn by rngs[i].
 
@@ -370,7 +358,7 @@ def sample_classical_sum_spectrum(pair: MatrixPairSample,
     (one eigenvalue of each, paired at random).  Conjugating the raw B by a
     permutation matrix would not achieve this for noncommuting pairs.
     """
-    ea, eb = (_eigenvalues(m[None], bool(_diagonal_flags(m[None])[0]))[0]
+    ea, eb = (_Powers(m[None], bool(_diagonal_flags(m[None])[0])).eigenvalues()[0]
               for m in (pair.a, pair.b))
     perm = rng.permutation(pair.dimension)
     return SpectrumSample(np.sort(ea + eb[perm]), "permuted")
@@ -450,11 +438,12 @@ def _stack_groups(draw, indices: range, dimension: int, size: int):
 
     Consecutive runs of at most ``size`` indices are drawn with ``draw(i)``,
     checked for the common dimension and stacked.
-    Yields (at, a, b, diagonal): sample indices, the (c, n, n) stacks of
-    those pairs and, per letter, whether all of its matrices are diagonal.
+    Yields (at, pa, pb): sample indices and the ``_letter`` powers of A and B
+    over those pairs, each letter diagonal in all of them or in none.
     Grouping by that pattern keeps each pair's arithmetic a function of the
     pair alone, however the indices are cut into stacks or threads.
     """
+    pa = pb = None
     for start in range(indices.start, indices.stop, size):
         run = range(start, min(start + size, indices.stop))
         pairs = [draw(i) for i in run]
@@ -469,11 +458,10 @@ def _stack_groups(draw, indices: range, dimension: int, size: int):
             rows = np.flatnonzero(code == value)
             if rows.size == 0:
                 continue
-            diagonal = (bool(value & 1), bool(value & 2))
-            if rows.size == len(pairs):
-                yield start + rows, a, b, diagonal
-            else:
-                yield start + rows, a[rows], b[rows], diagonal
+            pick = slice(None) if rows.size == len(pairs) else rows
+            pa = _letter(a[pick], bool(value & 1), pa)
+            pb = _letter(b[pick], bool(value & 2), pb)
+            yield start + rows, pa, pb
 
 
 class _Powers:
@@ -501,9 +489,15 @@ class _Powers:
         return self.cache[e]
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues per matrix, (c, n) or (1, n); solved once."""
+        """Ascending eigenvalues per matrix, (c, n) or (1, n); solved once.
+
+        A diagonal matrix's eigenvalues are its sorted diagonal, with no
+        eigensolve; at ordinary scales that is what ``eigvalsh`` returns bit
+        for bit, and it stays exact where LAPACK would rescale the matrix.
+        """
         if self._eigenvalues is None:
-            self._eigenvalues = _eigenvalues(self.matrices, self.diagonal)
+            self._eigenvalues = (np.sort(self.cache[1], axis=1) if self.diagonal
+                                 else np.linalg.eigvalsh(self.matrices))
         return self._eigenvalues
 
 
@@ -734,32 +728,32 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     height = max(1, _CELL_BUDGET // (dimension * dimension))  # pairs per stack
 
     def run_chunk(indices):
-        pa = pb = None
         plans: dict[int, SplitTracePlan] = {}  # by cut letter
         spectra = DenseSpectra(dimension, height)
         # errstate is per thread; the finite checks of the tables and of
         # the statistics derived from them report overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            for at, a, b, diagonal in _stack_groups(draw, indices, dimension, height):
-                pa, pb = _letter(a, diagonal[0], pa), _letter(b, diagonal[1], pb)
+            for at, pa, pb in _stack_groups(draw, indices, dimension, height):
+                commuting = pa.diagonal and pb.diagonal
                 if sums is not None:
-                    if all(diagonal):
-                        sums[at] = _eigenvalues(a + b, True)
+                    if commuting:
+                        sums[at] = np.sort(pa.power(1) + pb.power(1), axis=1)
                     else:
-                        np.add(a, b, out=spectra.slot(sums, at))
+                        np.add(pa.matrices, pb.matrices, out=spectra.slot(sums, at))
                 row = np.empty((len(at), len(words)))
-                if all(diagonal):
+                if commuting:
                     _short_traces(enumerate(w.blocks for w in words), pa, pb, row)
                 else:
                     _short_traces(short, pa, pb, row)
                     # cut at the diagonal letter, or at A when both are dense
-                    cut = int(diagonal == (False, True))
+                    cut = int(pb.diagonal)
                     if cut not in plans:
                         plans[cut] = SplitTracePlan(words, cut)
                     plans[cut].traces(pa, pb, row)
                 traces[at] = row
                 for j in range(free_rotations):
-                    _free_sums(a, b, (stream(seed, i, _FREE_STREAM, j) for i in at),
+                    _free_sums(pa.matrices, pb.matrices,
+                               (stream(seed, i, _FREE_STREAM, j) for i in at),
                                spectra.slot(free_pool, at * free_rotations + j))
                 if classical_pool is not None:
                     perms = np.stack([stream(seed, i, _CLASSICAL_STREAM).permutation(

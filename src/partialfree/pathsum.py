@@ -10,7 +10,7 @@ distinct site visited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -45,13 +45,15 @@ class LatticeModel:
     ``entry_moments`` is indexed from order 1 (m_1, m_2, ...); order 0 is
     implicitly 1.  ``translation_invariant`` marks vertex-transitive graphs
     (set by the chain constructor for circulant chains) so walk sums can fix
-    the start site instead of averaging over all of them.
+    the start site instead of averaging over all of them.  ``neighbors``
+    lists each site's neighbors, built once from the adjacency.
     """
 
     adjacency: np.ndarray
     entry_moments: tuple
     translation_invariant: bool = False
     max_hops: int = DEFAULT_MAX_HOPS
+    neighbors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency)
@@ -64,6 +66,7 @@ class LatticeModel:
         if not np.all((adj == 0) | (adj == 1)):
             raise ValueError("adjacency entries must be 0 or 1")
         object.__setattr__(self, "adjacency", adj.astype(np.int64))
+        object.__setattr__(self, "neighbors", tuple(np.flatnonzero(r).tolist() for r in adj))
         object.__setattr__(self, "entry_moments", tuple(self.entry_moments))
 
     @classmethod
@@ -96,13 +99,14 @@ class LatticeModel:
         return self.entry_moments[order - 1]
 
 
-def _walk_sum(model: LatticeModel, neighbors, steps, start: int):
+def _walk_sum(model: LatticeModel, steps, start: int):
     """Sum of expected weights over closed walks from ``start``.
 
     ``steps`` holds an int e per A block, which deposits e powers of the
     entry at the walker's site, and None per B factor, a hop to a neighbor.
     """
     exact = all(isinstance(m, (int, Fraction)) for m in model.entry_moments)
+    neighbors = model.neighbors
     total = Fraction(0) if exact else 0.0
 
     def visit(i, site, deposits):
@@ -148,9 +152,8 @@ def exact_word_net(word: Word, model: LatticeModel):
         )
     # a step per A block, not per symbol: A^e is one recursion level at any e
     steps = [step for letter, e in word.blocks for step in ([None] * e if letter else [e])]
-    neighbors = [np.flatnonzero(row).tolist() for row in model.adjacency]
     starts = [0] if model.translation_invariant else range(model.size)
-    return sum(_walk_sum(model, neighbors, steps, s) for s in starts) / len(starts)
+    return sum(_walk_sum(model, steps, s) for s in starts) / len(starts)
 
 
 def boundary_corrected_word_net(word: Word, model: LatticeModel):

@@ -465,6 +465,15 @@ def test_localize_violations_diagonal_fixture():
                 abs(stat.centered_estimate) > z_star * stat.centered_se)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 0.0, -1.0, math.nan])
+def test_localize_violations_refuses_alpha_outside_unit_interval(alpha):
+    # the range detect_degree accepts; NaN compares false and is refused too
+    spec = EnsembleSpec.goe(6, seed=3)
+    samples = [sample_pair(spec, i) for i in range(40)]
+    with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\)"):
+        localize_violations(samples, 4, alpha)
+
+
 def test_localize_violations_runs_no_eigensolve(monkeypatch):
     # localization reads only the word-trace table, never a spectrum
     samples = _diagonal_samples(t=30, seed=17)
@@ -669,7 +678,7 @@ def _mixed_pair_file(path, n=5, t=23, seed=61):
 
 
 @pytest.mark.parametrize("variant", ["goe", "goe-24", "goe-100", "gaussian-diagonal",
-                                     "tridiagonal", "mixed-file"])
+                                     "tridiagonal", "pauli", "mixed-file"])
 def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
     # stacks of 1, 7 (ragged) and all t pairs, on one thread or two, give
     # bit-identical raw tables: the dense spectra share one buffer of
@@ -689,7 +698,8 @@ def test_sample_pass_independent_of_stack_size(variant, monkeypatch, tmp_path):
                 "goe-24": EnsembleSpec.goe(24, seed=65),
                 "goe-100": EnsembleSpec.goe(100, seed=66),
                 "gaussian-diagonal": EnsembleSpec.gaussian_diagonal(6, seed=63),
-                "tridiagonal": EnsembleSpec.tridiagonal_adjacency(8, seed=64)}[variant]
+                "tridiagonal": EnsembleSpec.tridiagonal_adjacency(8, seed=64),
+                "pauli": EnsembleSpec.pauli_block_pair(6, seed=67)}[variant]
     n = spec.dimension
     words = _table_words(6)
     tables = []

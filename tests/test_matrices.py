@@ -517,6 +517,7 @@ def test_split_kernel_builds_each_sandwich_product_once(monkeypatch, draw, order
 @pytest.mark.parametrize("spec", [
     EnsembleSpec.goe(16, seed=4), EnsembleSpec.goe(200, seed=4),
     EnsembleSpec.gaussian_diagonal(16, seed=4), EnsembleSpec.tridiagonal_adjacency(16, seed=4),
+    EnsembleSpec.pauli_block_pair(6), EnsembleSpec.pauli_block_pair(12),
 ], ids=lambda spec: f"{spec.variant}{spec.dimension}")
 def test_pass_sums_are_the_public_sum_spectra(spec):
     # the pass solves dense sums in batches and sorts diagonal ones; each row

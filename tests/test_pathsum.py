@@ -156,6 +156,17 @@ def test_float_moments_give_floats():
     assert value == pytest.approx(2.0)
 
 
+def test_walk_sums_read_the_model_neighbors(monkeypatch):
+    # the neighbor lists are built with the model, not on each walk sum
+    model = chain(12, circulant=False)
+    calls = []
+    real = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or real(a))
+    for text in ("ABAB", "AABB", "ABABABAB"):
+        exact_word_net(Word.from_string(text), model)
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_open_chain_degree_matches_its_exact_deviation(seed):
     # the open chain first departs from freeness at ABBABB, by the walk sums'
