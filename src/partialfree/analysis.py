@@ -217,7 +217,9 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
     prediction each time, which keeps the large cancellation between the
     two correlated sides.  The full-sample means and the t leave-one-out
     means form one replicate table, so a single batched ``free_convolve``
-    call yields the point prediction and every jackknife replicate.
+    call yields the point prediction and every jackknife replicate.  A
+    statistic whose leave-one-out replicates are all equal has SE exactly 0,
+    where the rounding of their mean would leave a spread of a few ulps.
     The order-k floor is ``word_floor[k]``, the largest floor of a mixed
     word of length k (A^k and B^k cancel in expectation), plus 1e-12
     sqrt(mu_2k(A + B)), which bounds the mean |eigenvalue|^k that the
@@ -240,14 +242,10 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
     rep_diff = rep_s - rep_pred
     predicted, diffs = rep_pred[:, 0], rep_diff[:, 0]
 
-    constant = all(np.all(m == m[0]) for m in (m_a, m_b, m_s))
-    if constant:
-        # deterministic ensemble: every leave-one-out replicate is identical
-        diff_se = pred_se = np.zeros(order + 1)
-    else:
-        loo = np.stack([rep_diff[:, 1:], rep_pred[:, 1:]])
-        spread = ((loo - loo.mean(axis=2, keepdims=True)) ** 2).sum(axis=2)
-        diff_se, pred_se = np.sqrt((t - 1) / t * spread)
+    loo = np.stack([rep_diff[:, 1:], rep_pred[:, 1:]])
+    spread = ((loo - loo.mean(axis=2, keepdims=True)) ** 2).sum(axis=2)
+    spread[(loo == loo[..., :1]).all(axis=2)] = 0.0
+    diff_se, pred_se = np.sqrt((t - 1) / t * spread)
 
     floors = word_floor + _ROUNDING_RTOL * np.sqrt(m_s.mean(axis=0)[: 2 * order + 1: 2])
     require_finite(np.stack([summed.values, summed.se, predicted, pred_se, diffs, diff_se,
@@ -431,6 +429,8 @@ def detect_degree(samples, order: int, alpha: float, threads: int = 1) -> Degree
     so the jackknife error bars mean something.
     """
     samples = list(samples)
+    if threads < 1:
+        raise ConfigError("need threads >= 1")
     if len(samples) < 30:
         raise ConfigError(f"need at least 30 samples for the degree test, got {len(samples)}")
     if order < 2:
@@ -456,6 +456,8 @@ def localize_violations(samples, degree: int, alpha: float,
         raise ConfigError(f"need degree >= 1, got {degree}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    if threads < 1:
+        raise ConfigError("need threads >= 1")
     if not samples:
         raise ConfigError("need samples")
     tables = _sample_words(samples.__getitem__, len(samples), samples[0].dimension, degree,
@@ -747,15 +749,10 @@ class FreenessReport:
         header = ",".join(("grid",) + names)
         if not self.densities:
             return header + "\n"
-        grid = self.densities["grid"]
-        columns = [self.densities.get(k) for k in names]
-        lines = [header]
-        for i, x in enumerate(grid):
-            cells = [repr(x)]
-            for col in columns:
-                cells.append(repr(col[i]) if col is not None else "")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        columns = [self.densities.get(k) for k in ("grid",) + names]
+        rows = [",".join("" if col is None else repr(col[i]) for col in columns)
+                for i in range(len(columns[0]))]
+        return "\n".join([header, *rows]) + "\n"
 
 
 def _finite_or_none(x: float) -> float | str:
@@ -850,25 +847,12 @@ def _density_section(config, degree, delta_mu, free_pool, sum_pool,
     grid = np.linspace(lo - pad, hi + pad, config.grid_points)
 
     f_free = kde_density(flat_free, bandwidth=h0, grid=grid)
-    section = {
-        "grid": [float(x) for x in grid],
-        "f_free": [float(v) for v in f_free.values],
-        "bandwidth": h0,
-        "f_sum": None,
-        "f_corrected": None,
-        "f_classical": None,
-        "f_derivative": None,
-        "derivative_order": degree,
-        "derivative_bandwidth": hp,
-        "delta_mu": None,
-        "clipped_mass": None,
-    }
-    if sum_pool is not None:
-        f_sum = kde_density(sum_pool.ravel(), bandwidth=h0, grid=grid)
-        section["f_sum"] = [float(v) for v in f_sum.values]
-    if classical_pool is not None:
-        f_classical = kde_density(classical_pool.ravel(), bandwidth=h0, grid=grid)
-        section["f_classical"] = [float(v) for v in f_classical.values]
+    section = {"grid": grid.tolist(), "f_free": f_free.values.tolist(), "bandwidth": h0,
+               "derivative_order": degree, "derivative_bandwidth": hp, "f_corrected": None,
+               "f_derivative": None, "delta_mu": None, "clipped_mass": None}
+    for name, pool in (("f_sum", sum_pool), ("f_classical", classical_pool)):
+        section[name] = (None if pool is None else
+                         kde_density(pool.ravel(), bandwidth=h0, grid=grid).values.tolist())
     if degree is not None and delta_mu is not None:
         # f^(p) scales as 1/h^(p+1), beyond double range for tiny spreads
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -878,9 +862,8 @@ def _density_section(config, degree, delta_mu, free_pool, sum_pool,
                          "f_derivative and f_corrected omitted")
             return section
         corrected = edgeworth_corrected_density(f_free, derivative, delta_mu)
-        section["f_corrected"] = [float(v) for v in corrected.values]
-        section["f_derivative"] = [float(v) for v in derivative.values]
-        section["delta_mu"] = float(delta_mu)
-        section["clipped_mass"] = corrected.clipped_mass
+        section.update(f_corrected=corrected.values.tolist(),
+                       f_derivative=derivative.values.tolist(), delta_mu=float(delta_mu),
+                       clipped_mass=corrected.clipped_mass)
         notes.append(f"corrected density clipped mass: {corrected.clipped_mass:.3e}")
     return section

@@ -480,12 +480,11 @@ class _Powers:
         self._eigenvalues: np.ndarray | None = None
 
     def power(self, e: int) -> np.ndarray:
-        if self.diagonal and e not in self.cache:
-            self.cache[e] = self.cache[1] ** e
-        # a dense letter holds every power up to its highest one and builds
-        # the missing ones upward, X^j = X @ X^(j-1), without recursion
-        for j in range(max(self.cache) + 1, e + 1):
-            self.cache[j] = self.cache[1] @ self.cache[j - 1]
+        # every power up to the highest one asked for is held, built upward:
+        # x^j for a diagonal letter, X^j = X @ X^(j-1) for a dense one
+        x = self.cache[1]
+        for j in range(len(self.cache) + 1, e + 1):
+            self.cache[j] = x ** j if self.diagonal else x @ self.cache[j - 1]
         return self.cache[e]
 
     def eigenvalues(self) -> np.ndarray:
@@ -802,10 +801,14 @@ def column_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each column is reduced as a contiguous row of the transpose: numpy sums
     pairwise along the last axis only, so it sums as its own 1-D slice would.
+    A column that does not vary has SE exactly 0, where the rounding of its
+    mean would leave a spread of a few ulps.
     """
     t = table.shape[0]
     rows = np.ascontiguousarray(table.T)
-    return rows.mean(axis=1), rows.std(axis=1, ddof=1 if t > 1 else 0) / math.sqrt(t)
+    se = rows.std(axis=1, ddof=1 if t > 1 else 0) / math.sqrt(t)
+    se[(rows == rows[:, :1]).all(axis=1)] = 0.0
+    return rows.mean(axis=1), se
 
 
 def estimate_word_net(samples, word: Word) -> tuple[float, float]:

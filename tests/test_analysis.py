@@ -474,6 +474,17 @@ def test_localize_violations_refuses_alpha_outside_unit_interval(alpha):
         localize_violations(samples, 4, alpha)
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+@pytest.mark.parametrize("scan", [detect_degree, localize_violations],
+                         ids=["detect_degree", "localize_violations"])
+def test_scans_refuse_threads_below_one(scan, threads):
+    # the message AnalysisConfig.validate gives; no count runs serially
+    spec = EnsembleSpec.goe(6, seed=3)
+    samples = [sample_pair(spec, i) for i in range(40)]
+    with pytest.raises(ConfigError, match="need threads >= 1"):
+        scan(samples, 4, 0.01, threads=threads)
+
+
 def test_localize_violations_runs_no_eigensolve(monkeypatch):
     # localization reads only the word-trace table, never a spectrum
     samples = _diagonal_samples(t=30, seed=17)
@@ -552,6 +563,37 @@ def test_report_serialization_deterministic(diagonal_report):
     lines = csv.strip().split("\n")
     assert lines[0] == "grid,f_sum,f_free,f_corrected,f_classical"
     assert len(lines) == 1 + len(payload["densities"]["grid"])
+
+
+def _csv_by_cells(report):
+    names = ("grid", "f_sum", "f_free", "f_corrected", "f_classical")
+    densities = report.to_dict()["densities"]
+    lines = [",".join(names)]
+    for i in range(len(densities["grid"]) if densities else 0):
+        cells = []
+        for name in names:
+            column = densities[name]
+            cells.append("" if column is None else repr(column[i]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_densities_csv_matches_cells_of_the_report(diagonal_report, tmp_path):
+    full = diagonal_report[0]
+    assert all(full.densities[k] is not None
+               for k in ("f_sum", "f_free", "f_corrected", "f_classical"))
+    bare = run_analysis(AnalysisConfig(
+        ensemble=EnsembleSpec.gaussian_diagonal(8, seed=31), sample_count=40, order=4,
+        alpha=0.01, include_exact_sum=False, include_classical=False))
+    assert bare.densities["f_sum"] is None and bare.densities["f_classical"] is None
+    path = tmp_path / "pairs.jsonl"
+    path.write_text((json.dumps({"A": np.eye(3).tolist(), "B": np.eye(3).tolist()}) + "\n") * 40)
+    point_mass = run_analysis(AnalysisConfig(ensemble=EnsembleSpec.from_file(str(path)),
+                                             sample_count=40, order=4))
+    assert point_mass.densities is None
+    for report in (full, bare, point_mass):
+        assert report.densities_csv() == _csv_by_cells(report)
+    assert point_mass.densities_csv() == "grid,f_sum,f_free,f_corrected,f_classical\n"
 
 
 def test_report_optional_sections_disabled():

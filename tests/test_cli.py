@@ -252,6 +252,26 @@ def test_analyze_point_mass_pairs_end_in_a_report(tmp_path, capsys, a, b):
     assert any("no spread at double precision" in note for note in payload["notes"])
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_analyze_repeated_pair_keeps_se_zero(tmp_path, capsys, threads):
+    # 31 copies of one pair with non-dyadic entries: means over the copies
+    # round, so only the per-statistic rule gives the SEs that do not vary 0
+    g = np.random.default_rng(13).standard_normal((2, 5, 5))
+    a, b = (g + g.transpose(0, 2, 1)) / np.sqrt(10)
+    path = tmp_path / "pairs.jsonl"
+    path.write_text((json.dumps({"A": a.tolist(), "B": b.tolist()}) + "\n") * 31)
+    code, out, _ = run_cli(capsys, "analyze", "--input", str(path), "--k", "6",
+                           "--threads", threads)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degree"] == 2
+    assert [w["word"] for w in payload["words"] if w["flagged_free"]] == ["AB"]
+    for row in payload["moments"]:
+        assert row["diff_se"] == row["predicted_free_se"] == 0.0
+    for row in payload["words"]:
+        assert row["se"] == row["centered_se"] == 0.0
+
+
 def _pair_records(kind, n, t, scale, seed):
     rng = np.random.default_rng(seed)
 

@@ -15,6 +15,7 @@ from partialfree.matrices import (
     SplitTracePlan,
     SpectrumSample,
     chain_adjacency,
+    column_stats,
     estimate_moments,
     estimate_word_net,
     haar_orthogonal,
@@ -206,6 +207,28 @@ def test_estimate_word_net_se_is_the_sample_spread(spec):
     column = word_trace_table(samples, [word])[:, 0].copy()
     assert estimate_word_net(samples, word) == (column.mean(),
                                                 column.std(ddof=1) / math.sqrt(50))
+
+
+def test_column_stats_constant_column_has_zero_se():
+    # 31 copies of 0.7 average to a rounded mean and a spread of about 2e-16;
+    # a column that does not vary has SE 0, every other column std/sqrt(t)
+    t = 31
+    table = np.random.default_rng(4).standard_normal((t, 3))
+    table[:, 1] = 0.7
+    mean, se = column_stats(table)
+    assert np.ascontiguousarray(table[:, 1]).std(ddof=1) > 0.0
+    assert se[1] == 0.0
+    for j in (0, 2):
+        column = np.ascontiguousarray(table[:, j])
+        assert mean[j] == column.mean()
+        assert se[j] == column.std(ddof=1) / math.sqrt(t)
+
+
+def test_estimate_word_net_repeated_pair_has_zero_se():
+    g = np.random.default_rng(13).standard_normal((2, 5, 5))
+    samples = [MatrixPairSample(*(g + g.transpose(0, 2, 1)) / np.sqrt(10))] * 31
+    for word in ("AA", "AB", "AABB", "ABAB"):
+        assert estimate_word_net(samples, Word.from_string(word))[1] == 0.0
 
 
 def test_estimate_word_net_cross_word_near_zero():
