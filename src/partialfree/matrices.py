@@ -315,10 +315,13 @@ def symmetric_eigenvalues(m: np.ndarray, atol: float = 1e-8) -> np.ndarray:
 
 
 def _diagonal_flags(stack: np.ndarray) -> np.ndarray:
-    """Per matrix of a (c, n, n) stack: True when every off-diagonal entry is zero."""
-    off = stack.copy()
-    i = np.arange(stack.shape[-1])
-    off[:, i, i] = 0.0
+    """Per matrix of a (c, n, n) stack: True when every off-diagonal entry is zero.
+
+    In row-major order the off-diagonal entries are the n after each
+    diagonal entry but the last: a strided view, no copy of the stack.
+    """
+    c, n = stack.shape[:2]
+    off = stack.reshape(c, n * n)[:, 1:].reshape(c, n - 1, n + 1)[:, :, :n]
     return ~off.any(axis=(1, 2))
 
 
@@ -433,26 +436,33 @@ def estimate_moments(spectra, order: int) -> MomentEstimate:
 _CELL_BUDGET = 1 << 16
 
 
-def _stack_groups(draw, indices: range, dimension: int, size: int):
+def _stack_groups(draw, indices: range, dimension: int, size: int, previous=(None, None)):
     """Draw the pairs of ``indices`` as stacks, split by which letters are diagonal.
 
     Consecutive runs of at most ``size`` indices are drawn with ``draw(i)``,
-    checked for the common dimension and stacked.
+    each checked for the common dimension as it is drawn, and stacked (a
+    one-pair run as a view of its pair's arrays).
     Yields (at, pa, pb): sample indices and the ``_letter`` powers of A and B
     over those pairs, each letter diagonal in all of them or in none.
     Grouping by that pattern keeps each pair's arithmetic a function of the
     pair alone, however the indices are cut into stacks or threads.
+    The first stack may reuse the ``previous`` letters of A and B.
     """
-    pa = pb = None
+    pa, pb = previous
     for start in range(indices.start, indices.stop, size):
-        run = range(start, min(start + size, indices.stop))
-        pairs = [draw(i) for i in run]
-        for i, pair in zip(run, pairs):
+        pairs = []
+        for i in range(start, min(start + size, indices.stop)):
+            pair = draw(i)
             if pair.dimension != dimension:
                 raise ValueError(f"sample {i} has dimension {pair.dimension}, "
                                  f"expected {dimension}")
-        a = np.stack([p.a for p in pairs])
-        b = np.stack([p.b for p in pairs])
+            pairs.append(pair)
+        if len(pairs) == 1:
+            # row-major, as np.stack makes a longer stack
+            a, b = (np.ascontiguousarray(m)[None] for m in (pairs[0].a, pairs[0].b))
+        else:
+            a = np.stack([p.a for p in pairs])
+            b = np.stack([p.b for p in pairs])
         code = _diagonal_flags(a) + 2 * _diagonal_flags(b)
         for value in range(4):
             rows = np.flatnonzero(code == value)
@@ -504,17 +514,19 @@ def _letter(stack: np.ndarray, diagonal: bool, previous: _Powers | None) -> _Pow
     """The powers of one letter over a stack of pairs.
 
     A matrix that is the same in every pair of the stack is kept once and
-    broadcasts; when it is also the previous stack's single matrix, the
-    previous powers are kept with their cached powers and eigenvalues (B of
-    the chain ensemble, A and B of the Pauli pair).
+    broadcasts (a one-pair stack is already its own array, a longer one's
+    first matrix is copied out).  When it is also ``previous``'s single
+    matrix, ``previous`` is returned with its cached powers and eigenvalues
+    (B of the chain ensemble, A and B of the Pauli pair): the previous
+    stack's letter, or one shared by the run, which is then only read.
     """
     first = stack[:1]
-    if not (stack == first).all():
+    if len(stack) > 1 and not (stack == first).all():
         return _Powers(stack, diagonal)
     if (previous is not None and previous.matrices.shape[0] == 1
             and np.array_equal(previous.matrices, first)):
         return previous
-    return _Powers(first.copy(), diagonal)
+    return _Powers(first if len(stack) == 1 else first.copy(), diagonal)
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
@@ -710,12 +722,17 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     diagonal letter, or at A when both letters are dense.  A chunk's dense
     sums and rotated sums share the calls of one ``spectra.DenseSpectra``
     buffer, which takes each stack whole; a diagonal sum's spectrum is its
-    sorted diagonal.  With ``threads`` > 1 (and at least two indices per
-    thread) contiguous chunks of indices run on a thread pool, sharing
-    only their disjoint rows of the tables, and the first failing chunk in
-    index order raises, so the error is the one a serial loop would meet
-    first.  Every quantity is a function of the index alone, so the tables
-    depend neither on ``threads`` nor on how the stacks or batches are cut.
+    sorted diagonal.  A letter that pairs 0 and 1 share is built once per
+    run, before the pool, with its powers through the longest word and
+    the eigenvalues the classical pool reads; every chunk starts from it
+    and only reads it, and each of its values is a function of the letter
+    alone.  With ``threads`` > 1 (and at least two indices per thread)
+    contiguous chunks of indices run on a thread pool, sharing only their
+    disjoint rows of the tables and the shared letters, and the first
+    failing chunk in index order raises, so the error is the one a serial
+    loop would meet first.  Every quantity is a function of the index
+    alone, so the tables depend neither on ``threads`` nor on how the
+    stacks or batches are cut.
     """
     words = list(words)
     short = [(column, word.blocks) for column, word in enumerate(words) if len(word.blocks) < 4]
@@ -725,6 +742,17 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     classical_pool = np.empty((count, dimension)) if with_classical else None
 
     height = max(1, _CELL_BUDGET // (dimension * dimension))  # pairs per stack
+    shared = (None, None)
+    if count >= 2:
+        at, *letters = next(_stack_groups(draw, range(2), dimension, 2))
+        shared = tuple(p if len(at) == 2 and p.matrices.shape[0] == 1 else None
+                       for p in letters)
+        # errstate is per thread, and this is the calling one
+        with np.errstate(over="ignore", invalid="ignore"):
+            for letter in filter(None, shared):
+                letter.power(max([1] + [w.length for w in words]))
+                if with_classical:
+                    letter.eigenvalues()
 
     def run_chunk(indices):
         plans: dict[int, SplitTracePlan] = {}  # by cut letter
@@ -732,7 +760,7 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
         # errstate is per thread; the finite checks of the tables and of
         # the statistics derived from them report overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            for at, pa, pb in _stack_groups(draw, indices, dimension, height):
+            for at, pa, pb in _stack_groups(draw, indices, dimension, height, shared):
                 commuting = pa.diagonal and pb.diagonal
                 if sums is not None:
                     if commuting:

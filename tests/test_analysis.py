@@ -777,7 +777,7 @@ def test_pool_threads_solve_dense_spectra_in_batches_that_release_the_gil(monkey
     # eigenvalues; at n = 200 a stack holds one pair, so each chunk's sums and
     # rotated sums wait in batches of three, and only a chunk's last call may
     # be smaller.  The classical pool is off: its one eigensolve of the chain
-    # B per chunk is not batched.
+    # B, made once before the pool, is not batched.
     import threading
 
     spec = EnsembleSpec.tridiagonal_adjacency(200, seed=8, circulant=True)

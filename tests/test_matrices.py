@@ -572,6 +572,108 @@ def test_diagonal_stacks_trace_letter_counts():
         assert traces[i, words.index(Word.from_string("ABABAB"))] == pytest.approx(want)
 
 
+def test_shared_chain_letter_is_built_and_solved_once_per_pass(monkeypatch):
+    # example19's chain B is the same in every pair: it is built into one
+    # _Powers, powers and eigenvalues filled before the pool, and the pool
+    # threads only read it
+    import threading
+
+    from partialfree import matrices
+    from partialfree.analysis import _table_words
+
+    n, t = 200, 8
+    spec = EnsembleSpec.tridiagonal_adjacency(n, seed=44)
+    chain = chain_adjacency(n)
+    words = _table_words(6)
+    built, filled, solved = [], [], []
+
+    class Counted(matrices._Powers):
+        def __init__(self, stack, diagonal):
+            super().__init__(stack, diagonal)
+            built.append(self)
+
+        def power(self, e):
+            if e not in self.cache:
+                filled.append((self, threading.get_ident()))
+            return super().power(e)
+
+        def eigenvalues(self):
+            if self._eigenvalues is None:
+                filled.append((self, threading.get_ident()))
+            return super().eigenvalues()
+
+    real = np.linalg.eigvalsh
+
+    def counted(m):
+        if m.shape == (1, n, n) and np.array_equal(m[0], chain):
+            solved.append(1)
+        return real(m)
+
+    monkeypatch.setattr(matrices, "_Powers", Counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    tables = sample_tables(partial(sample_pair, spec), t, n, words, threads=2,
+                           with_sums=True, seed=spec.seed, free_rotations=1,
+                           with_classical=True)
+    chains = [p for p in built if np.array_equal(p.matrices, chain[None])]
+    assert len(chains) == 1
+    assert len(solved) == 1
+    main = threading.get_ident()
+    assert {ident for p, ident in filled if p is chains[0]} == {main}
+    assert len({ident for _, ident in filled} - {main}) == 2  # the pool ran
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", real)
+    serial = sample_tables(partial(sample_pair, spec), t, n, words, threads=1,
+                           with_sums=True, seed=spec.seed, free_rotations=1,
+                           with_classical=True)
+    for field in ("traces", "sums", "free_pool", "classical_pool"):
+        assert np.array_equal(getattr(tables, field), getattr(serial, field)), field
+
+
+def _zeroed_copy_flags(stack):
+    off = stack.copy()
+    i = np.arange(stack.shape[-1])
+    off[:, i, i] = 0.0
+    return ~off.any(axis=(1, 2))
+
+
+def test_diagonal_flags_read_the_off_diagonal_entries_only():
+    from partialfree.matrices import _diagonal_flags
+
+    stacks = []
+    for n in (1, 2, 3, 5):
+        # one nonzero entry at each place in turn, then the zero matrix
+        single = np.zeros((n * n + 1, n, n))
+        single.reshape(n * n + 1, n * n)[np.arange(n * n), np.arange(n * n)] = 7.0
+        stacks.append(single)
+    signed = np.zeros((3, 2, 2))
+    signed[0, 0, 1] = -0.0
+    signed[1, 1, 0] = np.nan
+    signed[2, 1, 1] = np.nan
+    stacks.append(signed)
+    rng = np.random.default_rng(45)
+    mixed = rng.standard_normal((6, 5, 5))
+    mixed[::2] = [np.diag(np.diag(m)) for m in mixed[::2]]
+    stacks.append(mixed)
+    for stack in stacks:
+        assert np.array_equal(_diagonal_flags(stack), _zeroed_copy_flags(stack))
+    assert _diagonal_flags(signed).tolist() == [True, False, True]
+    assert _diagonal_flags(mixed).tolist() == [True, False] * 3
+
+    # a pair built from transposed arrays holds them column-major; the pass
+    # traces it as its row-major copy, bit for bit
+    g = rng.standard_normal((2, 6, 6))
+    dense = g[0] + g[0].T
+    diagonal = np.diag(g[1][0])
+    for b in (diagonal, dense):
+        pair = MatrixPairSample(dense.T, b.T)
+        assert pair.a.flags.f_contiguous and not pair.a.flags.c_contiguous
+        for m in (pair.a, pair.b):
+            assert np.array_equal(_diagonal_flags(m[None]), _zeroed_copy_flags(m[None]))
+        words = [Word.from_string(s) for s in ("A", "AB", "AABB", "ABAB", "AABAB", "ABBABB")]
+        copy = MatrixPairSample(np.ascontiguousarray(dense), np.ascontiguousarray(b))
+        assert np.array_equal(word_trace_table([pair], words), word_trace_table([copy], words))
+
+
 def test_sampling_pass_leaves_no_cyclic_garbage():
     # each stack's letters, powers and products are freed by reference
     # counting as soon as the stack is done; a reference cycle would keep
@@ -629,6 +731,22 @@ def test_word_trace_table_rejects_a_third_letter():
     samples = [sample_pair(EnsembleSpec.goe(4, seed=45), 0)]
     with pytest.raises(ValueError, match="word estimation supports the two-letter alphabet"):
         word_trace_table(samples, [Word.from_string("ABC")])
+
+
+def test_pass_raises_the_error_a_serial_loop_meets_first():
+    # each pair is checked as it is drawn, before the next is drawn, and the
+    # letters shared by pairs 0 and 1 are drawn the same way before the pool
+    good, small = (MatrixPairSample(np.eye(n), np.eye(n)) for n in (3, 2))
+
+    def draw(i, bad):
+        if i == 1 and 0 in bad:
+            raise InputError("pair 1 unreadable")
+        return small if i in bad else good
+
+    for bad, first in (({0}, 0), ({2, 6}, 2), ({6}, 6)):
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match=f"sample {first} has dimension 2, expected 3"):
+                sample_tables(partial(draw, bad=bad), 8, 3, [Word.empty()], threads)
 
 
 def test_load_pair_file_sees_rewritten_file(tmp_path):
