@@ -506,6 +506,8 @@ def silverman_bandwidth(values, derivative_order: int = 0) -> float:
     n = values.size
     if n < 2:
         raise ValueError("bandwidth selection needs at least two values")
+    if not np.isfinite(values).all():
+        raise ValueError("bandwidth selection needs finite values")
     # spread of values / 2**e, 2**(e-1) <= max|v| < 2**e: the power-of-two
     # scaling is exact, and squares of tiny values no longer underflow
     _, e = np.frexp(np.abs(values).max())
@@ -582,8 +584,8 @@ def _kde(values, order: int, pad: float, bandwidth: float | None, grid,
         raise ValueError("need a nonempty sample")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(values, order)
-    elif bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    elif not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     if grid is None:
         reach = pad * bandwidth
         grid = np.linspace(values.min() - reach, values.max() + reach, grid_points)

@@ -247,6 +247,8 @@ def _built_pair(a: np.ndarray, b: np.ndarray) -> MatrixPairSample:
 
 def sample_pair(spec: EnsembleSpec, index: int) -> MatrixPairSample:
     """Draw the ``index``-th pair of the ensemble; deterministic in (seed, index)."""
+    if index < 0:
+        raise ValueError(f"sample index must be >= 0, got {index}")
     n = spec.dimension
     if spec.variant == "from-file":
         records = _load_pair_file(spec.path)
@@ -436,27 +438,27 @@ def estimate_moments(spectra, order: int) -> MomentEstimate:
 _CELL_BUDGET = 1 << 16
 
 
-def _stack_groups(draw, indices: range, dimension: int, size: int, previous=(None, None)):
+def _drawn(draw, i: int, dimension: int) -> MatrixPairSample:
+    """``draw(i)``, checked for the common dimension before the next pair is drawn."""
+    pair = draw(i)
+    if pair.dimension != dimension:
+        raise ValueError(f"sample {i} has dimension {pair.dimension}, expected {dimension}")
+    return pair
+
+
+def _stack_groups(draw, indices: range, dimension: int, size: int, shared):
     """Draw the pairs of ``indices`` as stacks, split by which letters are diagonal.
 
-    Consecutive runs of at most ``size`` indices are drawn with ``draw(i)``,
-    each checked for the common dimension as it is drawn, and stacked (a
-    one-pair run as a view of its pair's arrays).
+    Consecutive runs of at most ``size`` indices are drawn with ``_drawn``
+    and stacked (a one-pair run as a view of its pair's arrays).
     Yields (at, pa, pb): sample indices and the ``_letter`` powers of A and B
-    over those pairs, each letter diagonal in all of them or in none.
+    over those pairs, each letter diagonal in all of them or in none, and
+    the run's ``shared`` letter of A or B where every matrix equals it.
     Grouping by that pattern keeps each pair's arithmetic a function of the
     pair alone, however the indices are cut into stacks or threads.
-    The first stack may reuse the ``previous`` letters of A and B.
     """
-    pa, pb = previous
     for start in range(indices.start, indices.stop, size):
-        pairs = []
-        for i in range(start, min(start + size, indices.stop)):
-            pair = draw(i)
-            if pair.dimension != dimension:
-                raise ValueError(f"sample {i} has dimension {pair.dimension}, "
-                                 f"expected {dimension}")
-            pairs.append(pair)
+        pairs = [_drawn(draw, i, dimension) for i in range(start, min(start + size, indices.stop))]
         if len(pairs) == 1:
             # row-major, as np.stack makes a longer stack
             a, b = (np.ascontiguousarray(m)[None] for m in (pairs[0].a, pairs[0].b))
@@ -469,17 +471,16 @@ def _stack_groups(draw, indices: range, dimension: int, size: int, previous=(Non
             if rows.size == 0:
                 continue
             pick = slice(None) if rows.size == len(pairs) else rows
-            pa = _letter(a[pick], bool(value & 1), pa)
-            pb = _letter(b[pick], bool(value & 2), pb)
-            yield start + rows, pa, pb
+            yield (start + rows, _letter(a[pick], bool(value & 1), shared[0]),
+                   _letter(b[pick], bool(value & 2), shared[1]))
 
 
 class _Powers:
     """Cached integer powers of one letter over a stack of pairs.
 
-    ``matrices`` is a (c, n, n) stack, or (1, n, n) when one matrix serves
-    the whole stack and broadcasts.  Diagonal matrices keep their powers as
-    (c, n) rows of diagonals.
+    ``matrices`` is a (c, n, n) stack, or (1, n, n) for the run's shared
+    letter, which broadcasts against every stack that reads it.  Diagonal
+    matrices keep their powers as (c, n) rows of diagonals.
     """
 
     def __init__(self, matrices: np.ndarray, diagonal: bool):
@@ -510,23 +511,17 @@ class _Powers:
         return self._eigenvalues
 
 
-def _letter(stack: np.ndarray, diagonal: bool, previous: _Powers | None) -> _Powers:
+def _letter(stack: np.ndarray, diagonal: bool, shared: _Powers | None) -> _Powers:
     """The powers of one letter over a stack of pairs.
 
-    A matrix that is the same in every pair of the stack is kept once and
-    broadcasts (a one-pair stack is already its own array, a longer one's
-    first matrix is copied out).  When it is also ``previous``'s single
-    matrix, ``previous`` is returned with its cached powers and eigenvalues
-    (B of the chain ensemble, A and B of the Pauli pair): the previous
-    stack's letter, or one shared by the run, which is then only read.
+    ``shared`` is the run's letter (B of the chain ensemble, A and B of the
+    Pauli pair), returned with its cached powers and eigenvalues when every
+    matrix of the stack is its single matrix; any other stack's letter is
+    its own.
     """
-    first = stack[:1]
-    if len(stack) > 1 and not (stack == first).all():
-        return _Powers(stack, diagonal)
-    if (previous is not None and previous.matrices.shape[0] == 1
-            and np.array_equal(previous.matrices, first)):
-        return previous
-    return _Powers(first if len(stack) == 1 else first.copy(), diagonal)
+    if shared is not None and (stack == shared.matrices).all():
+        return shared
+    return _Powers(stack, diagonal)
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
@@ -722,17 +717,17 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     diagonal letter, or at A when both letters are dense.  A chunk's dense
     sums and rotated sums share the calls of one ``spectra.DenseSpectra``
     buffer, which takes each stack whole; a diagonal sum's spectrum is its
-    sorted diagonal.  A letter that pairs 0 and 1 share is built once per
-    run, before the pool, with its powers through the longest word and
-    the eigenvalues the classical pool reads; every chunk starts from it
-    and only reads it, and each of its values is a function of the letter
-    alone.  With ``threads`` > 1 (and at least two indices per thread)
-    contiguous chunks of indices run on a thread pool, sharing only their
-    disjoint rows of the tables and the shared letters, and the first
-    failing chunk in index order raises, so the error is the one a serial
-    loop would meet first.  Every quantity is a function of the index
-    alone, so the tables depend neither on ``threads`` nor on how the
-    stacks or batches are cut.
+    sorted diagonal.  A letter equal in pairs 0 and 1 is the run's: one
+    copy, built before the pool with its powers through the longest word
+    and the eigenvalues the classical pool reads, and only read by each
+    stack whose every matrix equals it; any other stack holds its own, and
+    each value of either is a function of the matrix alone.  With
+    ``threads`` > 1 (and at least two indices per thread) contiguous chunks
+    of indices run on a thread pool, sharing only their disjoint rows of
+    the tables and the shared letters, and the first failing chunk in
+    index order raises, so the error is the one a serial loop would meet
+    first.  Every quantity is a function of the index alone, so the tables
+    depend neither on ``threads`` nor on how the stacks or batches are cut.
     """
     words = list(words)
     short = [(column, word.blocks) for column, word in enumerate(words) if len(word.blocks) < 4]
@@ -744,9 +739,11 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     height = max(1, _CELL_BUDGET // (dimension * dimension))  # pairs per stack
     shared = (None, None)
     if count >= 2:
-        at, *letters = next(_stack_groups(draw, range(2), dimension, 2))
-        shared = tuple(p if len(at) == 2 and p.matrices.shape[0] == 1 else None
-                       for p in letters)
+        first, second = (_drawn(draw, i, dimension) for i in range(2))
+        shared = tuple(_Powers(m[None].copy(), bool(_diagonal_flags(m[None])[0]))
+                       if np.array_equal(m, other) else None
+                       for m, other in ((first.a, second.a), (first.b, second.b)))
+        del first, second  # the pass holds no pair beyond its stack
         # errstate is per thread, and this is the calling one
         with np.errstate(over="ignore", invalid="ignore"):
             for letter in filter(None, shared):

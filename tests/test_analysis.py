@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -92,17 +93,24 @@ _NAN, _INF = float("nan"), float("inf")
     ([_INF, _INF], "invalid value encountered in subtract"),
 ])
 def test_silverman_bandwidth_on_non_finite_values(values, warning):
-    # NaN gives NaN quietly; an infinity trips the variance's RuntimeWarning
-    # (an error under this suite's filters) and otherwise gives NaN
+    # a NaN or an infinity is refused before any arithmetic: the variance of
+    # these values would be NaN, quietly or with ``warning`` (an error here)
     for r in (0, 2):
-        if warning is None:
-            assert math.isnan(silverman_bandwidth(values, r))
-        else:
-            with pytest.raises(RuntimeWarning, match=warning):
-                silverman_bandwidth(values, r)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert math.isnan(silverman_bandwidth(values, r))
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="bandwidth selection needs finite values"):
+                silverman_bandwidth(values, r)
+
+
+@pytest.mark.parametrize("bandwidth", [_NAN, _INF, -_INF, 0.0])
+def test_kde_refuses_a_bandwidth_that_is_not_positive_and_finite(bandwidth):
+    # a NaN bandwidth would give an all-NaN estimate, an infinite one a
+    # failure inside the binning
+    sample = np.random.default_rng(6).standard_normal(100)
+    for estimate in (kde_density, partial(kde_derivative, order=2)):
+        with pytest.raises(ValueError,
+                           match=f"bandwidth must be positive and finite, got {bandwidth}"):
+            estimate(sample, bandwidth=bandwidth)
 
 
 def test_kde_density_normalizes():

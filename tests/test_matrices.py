@@ -10,6 +10,7 @@ from scipy import stats as scipy_stats
 
 from partialfree.errors import ConfigError, InputError
 from partialfree.matrices import (
+    _VARIANTS,
     EnsembleSpec,
     MatrixPairSample,
     SplitTracePlan,
@@ -442,6 +443,13 @@ def _shared_diagonal(i):
                             sample_pair(EnsembleSpec.goe(6, seed=48), i).b)
 
 
+def _diagonal_shared_by_pairs_0_and_1(i):
+    # pairs 0 and 1 share a diagonal A, the run's letter, which pair 2's
+    # differs from: the stack of all three holds its own A
+    return MatrixPairSample(np.diag(stream(49, 0 if i < 2 else i).standard_normal(6)),
+                            sample_pair(EnsembleSpec.goe(6, seed=49), i).b)
+
+
 @pytest.mark.parametrize("draw", [
     pytest.param(partial(sample_pair, EnsembleSpec.goe(6, seed=41)), id="goe"),
     pytest.param(partial(sample_pair, EnsembleSpec.gaussian_diagonal(6, seed=42)),
@@ -453,6 +461,7 @@ def _shared_diagonal(i):
                  id="open-chain"),
     pytest.param(_goe_against_diagonal, id="goe-against-diagonal"),
     pytest.param(_shared_diagonal, id="shared-diagonal"),
+    pytest.param(_diagonal_shared_by_pairs_0_and_1, id="diagonal-shared-by-pairs-0-and-1"),
 ])
 def test_word_traces_match_block_power_oracle(draw):
     # raw kernel plus the centering map against explicit block products,
@@ -629,6 +638,66 @@ def test_shared_chain_letter_is_built_and_solved_once_per_pass(monkeypatch):
         assert np.array_equal(getattr(tables, field), getattr(serial, field)), field
 
 
+def test_late_shared_letter_gives_the_bits_of_its_own_pairs(monkeypatch):
+    # CI's late-B file: pair 0 has its own B and pairs 1-39 share one, so no
+    # letter is the run's, and a later stack whose every B is equal holds its own
+    from partialfree import matrices
+    from partialfree.analysis import _table_words
+
+    n, t = 48, 40
+    g = np.random.default_rng(37).standard_normal((t + 2, n, n))
+    s = (g + g.transpose(0, 2, 1)) / np.sqrt(2 * n)
+    pairs = [MatrixPairSample(a, s[t + 1] if i == 0 else s[t]) for i, a in enumerate(s[:t])]
+    words = _table_words(8)
+
+    def tables(threads):
+        return sample_tables(pairs.__getitem__, t, n, words, threads=threads,
+                             with_sums=True, seed=37, free_rotations=1, with_classical=True)
+
+    fields = ("traces", "sums", "free_pool", "classical_pool")
+    want = tables(1)
+    runs = [tables(2)]
+    monkeypatch.setattr(matrices, "_CELL_BUDGET", n * n)  # one pair per stack
+    runs += [tables(1), tables(2)]
+    for got in runs:
+        for field in fields:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    for i, pair in enumerate(pairs):
+        assert np.array_equal(want.traces[i], word_trace_table([pair], words)[0]), i
+
+
+def test_no_seed_letter_is_held_once_the_pass_draws(monkeypatch):
+    # the letters that pairs 0 and 1 share are found before the pool; what
+    # was drawn to find them is released before the pass draws pair 2
+    import weakref
+
+    from partialfree import matrices
+    from partialfree.analysis import _table_words
+
+    n, t = 200, 4
+    spec = EnsembleSpec.tridiagonal_adjacency(n, seed=45)
+    seeds, stacks, alive = [], [], []
+
+    class Spied(matrices._Powers):
+        def __init__(self, stack, diagonal):
+            super().__init__(stack, diagonal)
+            if len(stack) == 2:
+                stacks.append(weakref.ref(self))
+
+    def draw(i):
+        if i == 2 and not alive:
+            alive.append([r for r in seeds + stacks if r() is not None])
+        pair = sample_pair(spec, i)
+        if len(seeds) < 2:
+            seeds.append(weakref.ref(pair))
+        return pair
+
+    monkeypatch.setattr(matrices, "_Powers", Spied)
+    sample_tables(draw, t, n, _table_words(6), with_sums=True)
+    assert len(seeds) == 2
+    assert alive == [[]]
+
+
 def _zeroed_copy_flags(stack):
     off = stack.copy()
     i = np.arange(stack.shape[-1])
@@ -797,6 +866,17 @@ def test_from_file_round_trip(tmp_path):
     assert pair.a == pytest.approx(np.array(records[2]["A"]))
     with pytest.raises(InputError):
         sample_pair(spec, 3)
+
+
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_sample_pair_refuses_a_negative_index(tmp_path, variant):
+    # checked before any draw or file read (the path names no file): a
+    # file's records would be read from the end, numpy refuses the seed
+    # key, and the Pauli pair takes any index
+    spec = EnsembleSpec(variant, 2, 0, path=str(tmp_path / "missing.jsonl"))
+    for index in (-1, -2):
+        with pytest.raises(ValueError, match=f"sample index must be >= 0, got {index}"):
+            sample_pair(spec, index)
 
 
 def test_from_file_errors_carry_line_numbers(tmp_path):
