@@ -181,6 +181,8 @@ class DensityEstimate:
         values = np.asarray(self.values, dtype=float)
         if grid.shape != values.shape or grid.ndim != 1:
             raise ValueError("grid and values must be matching 1-D arrays")
+        if not np.isfinite(grid).all():
+            raise ValueError("grid points must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly ascending")
         object.__setattr__(self, "grid", grid)
@@ -582,6 +584,8 @@ def _kde(values, order: int, pad: float, bandwidth: float | None, grid,
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("need a nonempty sample")
+    if not np.isfinite(values).all():
+        raise ValueError("density estimation needs finite values")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(values, order)
     elif not 0 < bandwidth < math.inf:
@@ -635,6 +639,8 @@ def edgeworth_corrected_density(base: DensityEstimate, derivative: DensityEstima
         raise ValueError("derivative estimate must have order >= 1")
     if base.grid.shape != derivative.grid.shape or not np.array_equal(base.grid, derivative.grid):
         raise ValueError("base and derivative must share one grid")
+    if not math.isfinite(delta_mu):
+        raise ValueError(f"delta_mu must be finite, got {delta_mu}")
     p = derivative.derivative_order
     sign = -1.0 if p % 2 else 1.0
     corrected = base.values + sign * (delta_mu / math.factorial(p)) * derivative.values

@@ -535,22 +535,6 @@ def _trace_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ci,cii->c" if p.ndim == 2 else "cii,ci->c", p, x)
 
 
-def _short_traces(words, pa: _Powers, pb: _Powers, out: np.ndarray) -> None:
-    """tr(W)/N into ``out`` of (column, blocks) words with at most one block per letter.
-
-    When both letters are diagonal they commute, and any word is taken as
-    A^alpha B^beta, its letter counts (the A blocks of a least rotation are
-    the even ones).
-    """
-    dimension = pa.matrices.shape[-1]
-    for column, blocks in words:
-        if len(blocks) > 2:
-            blocks = ((0, sum(e for _, e in blocks[::2])), (1, sum(e for _, e in blocks[1::2])))
-        factors = [(pb if letter else pa).power(e) for letter, e in blocks]
-        trace = _trace_product if len(factors) == 2 else _trace
-        out[:, column] = trace(*factors) / dimension if factors else 1.0
-
-
 def _least(pieces: tuple) -> tuple:
     """The key a product is kept under: its pieces or their reverse, whichever is less.
 
@@ -602,14 +586,21 @@ def _product(pieces: tuple, pd: _Powers, pm: _Powers, built: dict) -> np.ndarray
 
 
 class SplitTracePlan:
-    """Raw normalized traces tr(W)/N of the words with two or more blocks of each letter.
+    """Raw normalized traces tr(W)/N of every word, over the stacks of one route.
 
-    A word is a sum over closed two-site paths: cut at two blocks of the cut
-    letter D (``_split``), with M the other letter, it is tr(D^a_i P D^a_j Q).
-    For m >= 3 blocks of D, P or Q is a "sandwich" product M^b D^a M^b' ...
-    (``_product``), kept until the stack's traces are done: 2, 6, 16 and 31
-    per stack at K = 8, 10, 12 and 14, each of max(2^16, n^2) doubles at
-    most.  Words with the same (P, Q) form a group.  For a diagonal D with
+    The route is the cut letter, A (0) or B (1), or None when both letters
+    are diagonal; the plan sorts the words once.  The short words, with at
+    most one block of each letter, are traced as 1, tr(X^k)/N or
+    tr(A^a B^b)/N, and so is every word of the commuting route (None):
+    diagonal letters commute, so a word is A^alpha B^beta, its letter counts
+    (the A blocks of a least rotation are the even ones).  On a cut route a
+    word with two or more blocks of each letter is a sum over closed
+    two-site paths: cut at two blocks of the cut letter D (``_split``), with
+    M the other letter, it is tr(D^a_i P D^a_j Q).  For m >= 3 blocks of D,
+    P or Q is a "sandwich" product M^b D^a M^b' ... (``_product``), kept
+    until the stack's traces are done: 2, 6, 16 and 31 per stack at K = 8,
+    10, 12 and 14, each of max(2^16, n^2) doubles at most.  Words with the
+    same (P, Q) form a group.  For a diagonal D with
     diagonal d the trace is (d^a_i)^T (P o Q^T) d^a_j (o the entrywise
     product): H = P o Q^T is formed once, and two batched matmuls of the
     stacked powers of d with H give every (a_i, a_j) of the group.  For a
@@ -624,14 +615,21 @@ class SplitTracePlan:
     and B (1), which start with an A block.
     """
 
-    def __init__(self, words, cut_letter: int):
+    def __init__(self, words, cut_letter: int | None):
         self.cut_letter = cut_letter
+        self.short: list[tuple] = []  # (column, blocks) of the words traced whole
         groups: dict[tuple, list] = {}
         for column, word in enumerate(words):
-            exponents = [e for _, e in word.blocks]
-            if len(exponents) >= 4:
-                p, q, a_i, a_j = _split(exponents[cut_letter:] + exponents[:cut_letter])
-                groups.setdefault((p, q), []).append((a_i, a_j, column))
+            blocks = word.blocks
+            if cut_letter is None and len(blocks) > 2:
+                blocks = ((0, sum(e for _, e in blocks[::2])),
+                          (1, sum(e for _, e in blocks[1::2])))
+            if len(blocks) < 4:
+                self.short.append((column, blocks))
+                continue
+            exponents = [e for _, e in blocks]
+            p, q, a_i, a_j = _split(exponents[cut_letter:] + exponents[:cut_letter])
+            groups.setdefault((p, q), []).append((a_i, a_j, column))
         # per group: (P, Q, exponents a_i, exponents a_j,
         # (row, column, trace column) per word)
         self.groups = []
@@ -653,8 +651,12 @@ class SplitTracePlan:
 
     def traces(self, pa: _Powers, pb: _Powers, out: np.ndarray) -> None:
         """Write tr(W)/N into the words' columns of ``out``, one row per pair of the stack."""
+        dimension = pa.matrices.shape[-1]
+        for column, blocks in self.short:
+            factors = [(pb if letter else pa).power(e) for letter, e in blocks]
+            trace = _trace_product if len(factors) == 2 else _trace
+            out[:, column] = trace(*factors) / dimension if factors else 1.0
         pd, pm = (pb, pa) if self.cut_letter else (pa, pb)
-        dimension = pm.matrices.shape[-1]
         built: dict[tuple, np.ndarray] = {}
         factors: dict[tuple, np.ndarray] = {}
         for (p, q, rows, cols, entries), keys, spent in zip(self.groups, self.factors,
@@ -710,18 +712,18 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     ``with_classical``, its permuted sum spectrum; the rotations and
     permutations come from the per-index streams of ``seed``.  Pairs are
     drawn one index at a time but processed as stacks (``_stack_groups``),
-    one numpy call per step for the whole stack.  ``_short_traces`` traces
-    the words with at most one block of each letter, and every word of a
-    stack whose letters are both diagonal: they commute, so a word is
-    A^alpha B^beta.  ``SplitTracePlan`` traces the rest, cut at the
-    diagonal letter, or at A when both letters are dense.  A chunk's dense
-    sums and rotated sums share the calls of one ``spectra.DenseSpectra``
-    buffer, which takes each stack whole; a diagonal sum's spectrum is its
-    sorted diagonal.  A letter equal in pairs 0 and 1 is the run's: one
-    copy, built before the pool with its powers through the longest word
-    and the eigenvalues the classical pool reads, and only read by each
-    stack whose every matrix equals it; any other stack holds its own, and
-    each value of either is a function of the matrix alone.  With
+    one numpy call per step for the whole stack.  One ``SplitTracePlan``
+    per route, built by each chunk when it first meets the route, traces
+    every word of a stack: the commuting route when both letters are
+    diagonal, else the route cut at the diagonal letter, or at A when both
+    letters are dense.  A chunk's dense sums and rotated sums share the
+    calls of one ``spectra.DenseSpectra`` buffer, which takes each stack
+    whole; a diagonal sum's spectrum is its sorted diagonal.  A letter
+    equal in pairs 0 and 1 is the run's: one copy, built before the pool
+    with its powers through the longest word and the eigenvalues the
+    classical pool reads, and only read by each stack whose every matrix
+    equals it; any other stack holds its own, and each value of either is
+    a function of the matrix alone.  With
     ``threads`` > 1 (and at least two indices per thread) contiguous chunks
     of indices run on a thread pool, sharing only their disjoint rows of
     the tables and the shared letters, and the first failing chunk in
@@ -730,7 +732,6 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
     depend neither on ``threads`` nor on how the stacks or batches are cut.
     """
     words = list(words)
-    short = [(column, word.blocks) for column, word in enumerate(words) if len(word.blocks) < 4]
     traces = np.empty((count, len(words)))
     sums = np.empty((count, dimension)) if with_sums else None
     free_pool = np.empty((count * free_rotations, dimension)) if free_rotations else None
@@ -752,7 +753,7 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                     letter.eigenvalues()
 
     def run_chunk(indices):
-        plans: dict[int, SplitTracePlan] = {}  # by cut letter
+        plans: dict[int | None, SplitTracePlan] = {}  # by route
         spectra = DenseSpectra(dimension, height)
         # errstate is per thread; the finite checks of the tables and of
         # the statistics derived from them report overflow
@@ -765,15 +766,11 @@ def sample_tables(draw, count: int, dimension: int, words, threads: int = 1,
                     else:
                         np.add(pa.matrices, pb.matrices, out=spectra.slot(sums, at))
                 row = np.empty((len(at), len(words)))
-                if commuting:
-                    _short_traces(enumerate(w.blocks for w in words), pa, pb, row)
-                else:
-                    _short_traces(short, pa, pb, row)
-                    # cut at the diagonal letter, or at A when both are dense
-                    cut = int(pb.diagonal)
-                    if cut not in plans:
-                        plans[cut] = SplitTracePlan(words, cut)
-                    plans[cut].traces(pa, pb, row)
+                # commuting, else cut at the diagonal letter, or at A when both are dense
+                cut = None if commuting else int(pb.diagonal)
+                if cut not in plans:
+                    plans[cut] = SplitTracePlan(words, cut)
+                plans[cut].traces(pa, pb, row)
                 traces[at] = row
                 for j in range(free_rotations):
                     _free_sums(pa.matrices, pb.matrices,

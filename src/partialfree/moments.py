@@ -21,7 +21,7 @@ independence (letters commute) and another forced by free independence
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, comb, isfinite, pi, sqrt
+from math import asin, comb, isfinite, isnan, pi, sqrt
 
 import numpy as np
 
@@ -180,6 +180,8 @@ def arcsine_density(x: float) -> float:
 
 def arcsine_cdf(x: float) -> float:
     """Distribution function of the arcsine law on [-2, 2]."""
+    if isnan(x):
+        raise ValueError(f"need a point that is not NaN, got {x}")
     if x <= -2:
         return 0.0
     if x >= 2:

@@ -113,6 +113,19 @@ def test_kde_refuses_a_bandwidth_that_is_not_positive_and_finite(bandwidth):
             estimate(sample, bandwidth=bandwidth)
 
 
+@pytest.mark.parametrize("value", [_NAN, _INF, -_INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("estimate", [kde_density, partial(kde_derivative, order=2)],
+                         ids=["density", "derivative"])
+def test_kde_refuses_non_finite_values_given_a_bandwidth(estimate, value):
+    # no bandwidth selection reads the values then: a NaN gave an all-NaN
+    # estimate quietly, an infinity one on a grid holding it, with a warning
+    sample = np.append(np.random.default_rng(6).standard_normal(100), value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="density estimation needs finite values"):
+            estimate(sample, bandwidth=0.3)
+
+
 def test_kde_density_normalizes():
     rng = np.random.default_rng(1)
     sample = rng.standard_normal(5000)
@@ -180,6 +193,19 @@ def test_kde_explicit_grid_and_validation():
         DensityEstimate(np.array([0.0, 1.0]), np.array([1.0]), 0.1)
     with pytest.raises(ValueError):
         DensityEstimate(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 0.1)
+
+
+@pytest.mark.parametrize("grid", [[0.0, _NAN, 1.0], [0.0, 1.0, _INF], [-_INF, 0.0, 1.0]],
+                         ids=["nan", "inf", "-inf"])
+def test_density_grid_points_must_be_finite(grid):
+    # a NaN compares false in the ascending check, and an infinity passes it
+    with pytest.raises(ValueError, match="grid points must be finite"):
+        DensityEstimate(grid, np.ones(3), 0.1)
+    sample = np.random.default_rng(6).standard_normal(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            kde_density(sample, bandwidth=0.3, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +357,17 @@ def test_edgeworth_clipping_reported():
     corrected = edgeworth_corrected_density(base, deriv, 0.01)
     assert corrected.clipped_mass > 0
     assert np.all(corrected.values >= 0)
+
+
+@pytest.mark.parametrize("delta", [_NAN, _INF, -_INF], ids=["nan", "inf", "-inf"])
+def test_edgeworth_refuses_a_non_finite_delta(delta):
+    # a NaN gave an all-NaN density with clipped mass 0, an infinity an
+    # infinite clipped mass
+    grid = np.linspace(-1, 1, 64)
+    base = DensityEstimate(grid, np.ones(64), 0.1)
+    deriv = DensityEstimate(grid, np.ones(64), 0.1, derivative_order=2)
+    with pytest.raises(ValueError, match=f"delta_mu must be finite, got {delta}"):
+        edgeworth_corrected_density(base, deriv, delta)
 
 
 def test_edgeworth_grid_mismatch_rejected():

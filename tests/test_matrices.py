@@ -450,6 +450,13 @@ def _diagonal_shared_by_pairs_0_and_1(i):
                             sample_pair(EnsembleSpec.goe(6, seed=49), i).b)
 
 
+def _alternating_commuting(i):
+    # both letters diagonal in the even pairs and dense in the odd ones: one
+    # stack meets the commuting route and the route cut at A
+    spec = EnsembleSpec.gaussian_diagonal if i % 2 == 0 else EnsembleSpec.goe
+    return sample_pair(spec(6, seed=50), i)
+
+
 @pytest.mark.parametrize("draw", [
     pytest.param(partial(sample_pair, EnsembleSpec.goe(6, seed=41)), id="goe"),
     pytest.param(partial(sample_pair, EnsembleSpec.gaussian_diagonal(6, seed=42)),
@@ -462,6 +469,7 @@ def _diagonal_shared_by_pairs_0_and_1(i):
     pytest.param(_goe_against_diagonal, id="goe-against-diagonal"),
     pytest.param(_shared_diagonal, id="shared-diagonal"),
     pytest.param(_diagonal_shared_by_pairs_0_and_1, id="diagonal-shared-by-pairs-0-and-1"),
+    pytest.param(_alternating_commuting, id="alternating-commuting"),
 ])
 def test_word_traces_match_block_power_oracle(draw):
     # raw kernel plus the centering map against explicit block products,
@@ -505,15 +513,63 @@ def test_mixed_kernel_reads_reversed_products(draw):
 
 def test_each_word_is_traced_in_one_place():
     # the empty word, X^k and A^a B^b (at most one block of each letter) are
-    # traced by the pass itself; the kernel takes only the longer words
+    # the plan's short columns; its split groups take only the longer words
     from partialfree.analysis import _table_words
 
     words = _table_words(10)
     longer = [j for j, word in enumerate(words) if len(word.blocks) >= 4]
     assert len(words) - len(longer) == 66
     for cut_letter in (0, 1):
-        groups = SplitTracePlan(words, cut_letter).groups
-        assert sorted(column for *_, entries in groups for *_, column in entries) == longer
+        plan = SplitTracePlan(words, cut_letter)
+        assert sorted(column for *_, entries in plan.groups for *_, column in entries) == longer
+        assert [column for column, _ in plan.short] == sorted(set(range(len(words))) - set(longer))
+
+
+def test_commuting_plan_traces_every_word_by_its_letter_counts():
+    # both letters diagonal: the plan holds each word as A^alpha B^beta,
+    # folded once when it is built, and has no split groups
+    from partialfree.analysis import _table_words
+
+    words = _table_words(8)
+    plan = SplitTracePlan(words, None)
+    assert plan.groups == []
+    assert [column for column, _ in plan.short] == list(range(len(words))) == list(range(94))
+    held = dict(plan.short)
+    assert held[words.index(Word.from_string("ABAB"))] == ((0, 2), (1, 2))
+    assert held[words.index(Word.from_string("AABABB"))] == ((0, 3), (1, 3))
+
+
+def _mixed_commuting_pairs():
+    # CI's mixed-commuting file: every third pair has both letters diagonal,
+    # the others both dense; at n = 24 one stack holds all 40 pairs
+    g = np.random.default_rng(23).standard_normal((40, 2, 24, 24))
+    return [MatrixPairSample(*((np.diag(np.diag(m)) if i % 3 == 0 else m + m.T) for m in ab))
+            for i, ab in enumerate(g)]
+
+
+@pytest.mark.parametrize("threads, chunks", [(1, 1), (2, 2)])
+def test_each_chunk_builds_one_plan_per_route(monkeypatch, threads, chunks):
+    # every chunk meets the commuting route and the route cut at A, builds
+    # each plan when it first meets its route, and shares none with another
+    from collections import Counter
+
+    from partialfree import matrices
+    from partialfree.analysis import _table_words
+
+    routes = Counter()
+
+    class Counted(matrices.SplitTracePlan):
+        def __init__(self, words, cut_letter):
+            super().__init__(words, cut_letter)
+            routes[cut_letter] += 1
+
+    pairs = _mixed_commuting_pairs()
+    words = _table_words(8)
+    want = sample_tables(pairs.__getitem__, len(pairs), 24, words).traces
+    monkeypatch.setattr(matrices, "SplitTracePlan", Counted)
+    got = sample_tables(pairs.__getitem__, len(pairs), 24, words, threads=threads).traces
+    assert routes == {None: chunks, 0: chunks}
+    assert np.array_equal(got, want)
 
 
 _SANDWICH_DRAWS = {"": partial(sample_pair, EnsembleSpec.tridiagonal_adjacency(8, seed=43)),

@@ -271,6 +271,14 @@ def test_arcsine_density():
     assert arcsine_cdf(-2.0) == 0.0 and arcsine_cdf(2.0) == 1.0
 
 
+def test_arcsine_cdf_refuses_nan():
+    # a NaN value would make a KS distance against the law NaN, quietly;
+    # the infinities are points of the line, below and above the support
+    with pytest.raises(ValueError, match="not NaN"):
+        arcsine_cdf(math.nan)
+    assert arcsine_cdf(-math.inf) == 0.0 and arcsine_cdf(math.inf) == 1.0
+
+
 def test_arcsine_moments_match_free_convolution():
     # quadrature moments of the arcsine law equal the two-atom free convolution
     edges = np.linspace(-np.pi / 2, np.pi / 2, 40001)
