@@ -72,33 +72,25 @@ _ROUNDING_RTOL = 1e-12
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
-def _two_sided_test(diff: float, se: float, floor: float) -> tuple[float, float]:
-    """z statistic and p-value; differences within ``floor`` never reject.
-
-    With a zero standard error (deterministic ensembles) the test degrades
-    to an exact comparison at the same tolerance.
-    """
-    if abs(diff) <= floor:
-        return 0.0, 1.0
-    if se > 0.0:
-        z = diff / se
-        return z, math.erfc(abs(z) / math.sqrt(2.0))
-    return math.inf if diff > 0 else -math.inf, 0.0
-
-
-def _require_resolved(values: np.ndarray, se: np.ndarray, diffs: np.ndarray,
-                      floors: np.ndarray, what: str, orders) -> None:
-    """InputError naming the order of the first tested statistic whose SE underflowed.
+def _tests(values: np.ndarray, diffs: np.ndarray, se: np.ndarray, floors: np.ndarray,
+           what: str, orders) -> list[tuple[float, float]]:
+    """Two-sided (z, p-value) per statistic; differences within the floor give (0, 1).
 
     Row j of ``values`` holds statistic j over the samples or replicates.  The
-    test reads an SE only where |diff| > floor; there, an SE below the smallest
-    normal double fails where the values differ, not where they are equal.
+    test reads an SE only where |diff| > floor.  There an SE below the smallest
+    normal double is an InputError naming the first such order where the
+    values differ; where they are all equal (SE 0, deterministic ensembles)
+    the test is an exact comparison, z = ±inf and p = 0.
     """
-    bad = np.flatnonzero((np.abs(diffs) > floors) & (se < np.finfo(float).tiny)
+    tested = np.abs(diffs) > floors
+    bad = np.flatnonzero(tested & (se < np.finfo(float).tiny)
                          & (values != values[:, :1]).any(axis=1))
     if bad.size:
         raise InputError(f"underflowing standard error of the {what} at order "
                          f"{orders[bad[0]]}: entries too small for double-precision squares")
+    zs = [(d / s if s > 0.0 else math.copysign(math.inf, d)) if read else 0.0
+          for d, s, read in zip(diffs.tolist(), se.tolist(), tested.tolist())]
+    return [(z, math.erfc(abs(z) / math.sqrt(2.0))) for z in zs]
 
 
 def _word_floors(words, mu_a, mu_b) -> np.ndarray:
@@ -229,8 +221,6 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
     of the free-rotated and permuted sums, each None if not drawn.
     """
     t = m_a.shape[0]
-    if m_s.shape[1] < 2 * order + 1:
-        raise ValueError(f"need sample moments of A + B through order {2 * order}")
     summed = MomentEstimate.from_table(m_s, order)
 
     def replicates(m):
@@ -252,12 +242,12 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
     floors = word_floor + _ROUNDING_RTOL * np.sqrt(m_s.mean(axis=0)[: 2 * order + 1: 2])
     require_finite(np.stack([summed.values, summed.se, predicted, pred_se, diffs, diff_se,
                              floors]), "moment statistic", range(order + 1))
-    _require_resolved(rep_diff[:, 1:], diff_se, diffs, floors, "moment difference",
-                      range(order + 1))
+    tests = _tests(rep_diff[:, 1:], diffs, diff_se, floors, "moment difference",
+                   range(order + 1))
     free, classical = sampled
     rows = []
     for k in range(1, order + 1):
-        z, p_value = _two_sided_test(float(diffs[k]), float(diff_se[k]), floors[k])
+        z, p_value = tests[k]
         rows.append(MomentRow(
             order=k,
             estimate=float(summed.values[k]),
@@ -330,11 +320,9 @@ class _WordScan:
         mean, se = column_stats(centered)
         require_finite(np.stack([mean, se, self.floors]), "centered word statistic",
                        self.lengths)
-        _require_resolved(centered.T, se, mean, self.floors, "centered word statistic",
-                          self.lengths)
+        self.p_free = [p for _, p in _tests(centered.T, mean, se, self.floors,
+                                            "centered word statistic", self.lengths)]
         self.mean, self.se = mean.tolist(), se.tolist()
-        self.p_free = [_two_sided_test(m, s, f)[1]
-                       for m, s, f in zip(self.mean, self.se, self.floors)]
 
     def flagged(self, order: int, level: float) -> list[str]:
         """The words of ``order`` whose free test rejects at ``level``."""
@@ -353,13 +341,12 @@ class _WordScan:
         free = free_word_moments(self.expansion[:columns[-1] + 1, :columns[-1] + 1])[columns]
         require_finite(np.stack([estimates, ses, classical, free]), "word statistic",
                        [order] * len(columns))
-        _require_resolved(raw.T, ses, estimates - classical, self.floors[columns],
-                          "word statistic", [order] * len(columns))
+        tests = _tests(raw.T, estimates - classical, ses, self.floors[columns],
+                       "word statistic", [order] * len(columns))
         rows = []
-        for c, word, estimate, se, prediction, free_prediction in zip(
+        for c, word, estimate, se, prediction, free_prediction, (_, p_classical) in zip(
                 columns, words, estimates.tolist(), ses.tolist(), classical.tolist(),
-                free.tolist()):
-            _, p_classical = _two_sided_test(estimate - prediction, se, self.floors[c])
+                free.tolist(), tests):
             rows.append(WordStatistic(
                 word=word,
                 multiplicity=word.multiplicity(),
@@ -670,7 +657,9 @@ def ks_statistic(values, cdf) -> float:
     n = values.size
     if n == 0:
         raise ValueError("need a nonempty sample")
-    f = np.array([cdf(x) for x in values])
+    f = np.array([cdf(x) for x in values], dtype=float)
+    if not ((f >= 0.0) & (f <= 1.0)).all():
+        raise ValueError("cdf values must lie in [0, 1]")
     i = np.arange(1, n + 1)
     return float(max((i / n - f).max(), (f - (i - 1) / n).max()))
 

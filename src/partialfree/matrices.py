@@ -57,6 +57,8 @@ class MatrixPairSample:
         b = _require_symmetric(self.b, "B", _SYMMETRY_ATOL)
         if a.shape != b.shape:
             raise ValueError(f"A and B must have equal shape, got {a.shape} vs {b.shape}")
+        if not a.size:
+            raise ValueError("A and B must be at least 1x1, got 0x0")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -76,6 +78,8 @@ class SpectrumSample:
         vals = np.asarray(self.eigenvalues, dtype=float)
         if vals.ndim != 1:
             raise ValueError("eigenvalues must be a flat sequence")
+        if not np.isfinite(vals).all():
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", vals)
@@ -217,7 +221,7 @@ def _load_pair_file(path: str) -> list[MatrixPairSample]:
             try:
                 pair = MatrixPairSample(np.asarray(obj["A"], dtype=float),
                                         np.asarray(obj["B"], dtype=float))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise InputError(f"{path} line {lineno}: {exc}") from None
             if records and pair.dimension != records[0].dimension:
                 raise InputError(

@@ -143,6 +143,8 @@ class AtomicMeasure:
         if not atoms:
             raise ValueError("an atomic measure needs at least one atom")
         locations = [loc for loc, _ in atoms]
+        if not all(_is_exact([loc]) or isfinite(loc) for loc in locations):
+            raise ValueError(f"atom locations must be finite, got {locations}")
         if len(set(locations)) != len(locations):
             raise ValueError(f"atom locations must be distinct, got {locations}")
         if any(w <= 0 for _, w in atoms):

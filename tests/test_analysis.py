@@ -16,13 +16,14 @@ from partialfree.analysis import (
     kde_density,
     kde_derivative,
     _quartiles,
+    _tests,
     _trapz,
     ks_statistic,
     localize_violations,
     run_analysis,
     silverman_bandwidth,
 )
-from partialfree.errors import ConfigError, ResourceLimitError
+from partialfree.errors import ConfigError, InputError, ResourceLimitError
 from partialfree.matrices import EnsembleSpec, sample_pair
 from partialfree.moments import (
     classical_cumulants_from_moments,
@@ -417,10 +418,47 @@ def test_ks_statistic():
     xs = np.linspace(0.0005, 0.9995, 1000)
     assert ks_statistic(xs, lambda x: x) < 0.002
     assert ks_statistic(np.array([0.0]), lambda x: 0.5) == pytest.approx(0.5)
+    # a NaN cdf value would make the distance NaN
+    for value in (_NAN, -0.1, 1.5):
+        with pytest.raises(ValueError, match=r"cdf values must lie in \[0, 1\]"):
+            ks_statistic([0.1, 0.2, 0.3], lambda x: value if x == 0.2 else x)
 
 
 # ---------------------------------------------------------------------------
 # degree detection and localization
+
+
+def test_one_rule_tests_every_statistic():
+    # row j: statistic j over three samples, with its difference and SE
+    values = np.array([[1.0, 2.0, 3.0],    # within its floor at SE 0
+                       [2.0, 2.0, 2.0],    # constant, SE 0, below its prediction
+                       [3.0, 3.0, 3.0],    # constant, SE 0, above it
+                       [0.1, 0.2, 0.4],
+                       [0.3, 0.7, 0.9]])
+    diffs = np.array([1e-12, -0.5, 0.25, 0.3, -1.7])
+    floors = np.full(5, 1e-9)
+    orders = [1, 2, 3, 4, 5]
+    what = "word statistic"
+    tests = _tests(values, diffs, np.array([0.0, 0.0, 0.0, 0.1, 0.9]), floors, what, orders)
+    assert tests[:3] == [(0.0, 1.0), (-math.inf, 0.0), (math.inf, 0.0)]
+    assert math.copysign(1.0, tests[0][0]) == 1.0
+    for (z, p), d, s in zip(tests[3:], [0.3, -1.7], [0.1, 0.9]):
+        assert type(z) is float and type(p) is float
+        assert z == d / s and p == math.erfc(abs(z) / math.sqrt(2))
+
+    # an SE below the smallest normal double is refused where the statistic
+    # varies and the test reads it, naming the first such order; row 0 is
+    # within its floor
+    for underflowed, order in ((np.array([0.0, 0.0, 0.0, 1e-320, 0.0]), 4),
+                               (np.array([0.0, 0.0, 0.0, 0.1, 0.0]), 5)):
+        with pytest.raises(InputError) as refused:
+            _tests(values, diffs, underflowed, floors, what, orders)
+        assert str(refused.value) == (f"underflowing standard error of the {what} at order "
+                                      f"{order}: entries too small for double-precision squares")
+    # the same SE on constant statistics is the exact test
+    constant = np.repeat(values[:, :1], 3, axis=1)
+    assert _tests(constant, diffs, np.zeros(5), floors, what, orders) == [
+        (0.0, 1.0), (-math.inf, 0.0), (math.inf, 0.0), (math.inf, 0.0), (-math.inf, 0.0)]
 
 
 def _diagonal_samples(n=24, t=300, seed=101):

@@ -237,6 +237,21 @@ def test_analyze_overflowing_entries_is_input_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("letter, entry", [("B", 10**400), ("A", -10**400)],
+                         ids=["huge-B", "huge-negative-A"])
+def test_analyze_integers_beyond_double_range_are_input_errors(tmp_path, capsys, letter,
+                                                               entry):
+    # a float literal 1e400 parses as inf and is refused as non-finite; an
+    # integer literal of 401 digits fails the conversion to float itself
+    path = tmp_path / "pairs.jsonl"
+    record = {"A": [[1.0]], "B": [[2.0]]}
+    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, letter: [[entry]]}) + "\n")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--k", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"input error: {path} line 2: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("a, b", [(np.zeros((3, 3)), np.zeros((3, 3))),
                                   (np.eye(3), np.eye(3))], ids=["zero", "identity"])
 def test_analyze_point_mass_pairs_end_in_a_report(tmp_path, capsys, a, b):

@@ -54,6 +54,17 @@ def test_pair_validation():
         MatrixPairSample(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         MatrixPairSample(np.array([[np.nan, 0.0], [0.0, 0.0]]), np.eye(2))
+    # every consumer of a pair divides by its dimension
+    with pytest.raises(ValueError, match="at least 1x1"):
+        MatrixPairSample(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("eigenvalues", [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf],
+                                         [-math.inf, 0.0, 1.0]], ids=["nan", "inf", "-inf"])
+def test_spectrum_sample_refuses_non_finite_eigenvalues(eigenvalues):
+    # a NaN compares false in the ascending check, and an infinity passes it
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        SpectrumSample(eigenvalues, "x")
 
 
 def test_gaussian_diagonal_is_diagonal():

@@ -251,6 +251,13 @@ def test_atomic_measure_validation():
         AtomicMeasure(((0.0, 0.4), (1.0, 0.4)))
     with pytest.raises(ValueError):
         AtomicMeasure(((0.0, -0.5), (1.0, 1.5)))
+    # two NaN atoms also pass the distinctness check
+    for atoms in (((math.nan, 1.0),), ((math.inf, 1.0),), ((-math.inf, 0.5), (0.0, 0.5)),
+                  ((math.nan, 0.5), (math.nan, 0.5))):
+        with pytest.raises(ValueError, match="atom locations must be finite"):
+            AtomicMeasure(atoms)
+    big = Fraction(10) ** 400
+    assert AtomicMeasure(((big, Fraction(1)),)).moments(1) == [1, big]
 
 
 def test_arcsine_density():
