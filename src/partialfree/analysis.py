@@ -16,12 +16,12 @@ term (-1)^p (delta mu_p / p!) f^(p).
 
 All of it derives from one streaming pass over the sample indices
 (matrices.sample_tables, which owns the drawing, stacking and threading):
-each pair is drawn once and leaves only raw observations, the spectrum of
-A + B and one row of raw normalized traces tr(W)/N of every necklace
-through the scan order (plus, for a full run, its free-rotated and
-permuted sum spectra), and is then dropped.  The pure words A^k and B^k
-are necklaces too, so the pure moments are columns of that raw table; the
-moments of A + B are powers of its spectrum.
+each pair is drawn once and leaves only raw observations, one row of raw
+normalized traces tr(W)/N of every necklace through the scan order (plus,
+for a full run, its free-rotated and permuted sum spectra, and for f_sum
+the spectrum of A + B), and is then dropped.  The pure moments are columns
+of that raw table, and the moments of A + B are its order-k columns
+summed, each necklace once per rotation.
 Centered word traces and the free word predictions both follow from the
 raw table through one linear inclusion-exclusion map
 (moments.centering_map), so no pair is ever regenerated.
@@ -38,10 +38,8 @@ from .errors import ConfigError, InputError, ResourceLimitError
 from .matrices import (
     _CELL_BUDGET,
     EnsembleSpec,
-    MomentEstimate,
     SampleTables,
     column_stats,
-    estimate_moments,
     per_sample_moments,
     require_finite,
     sample_pair,
@@ -102,6 +100,32 @@ def _word_floors(words, mu_a, mu_b) -> np.ndarray:
     counts = np.array([[sum(e for x, e in w.blocks if x == letter) for letter in (0, 1)]
                        for w in words])
     return _EXACT_RTOL * np.sqrt(mu_a[2]) ** counts[:, 0] * np.sqrt(mu_b[2]) ** counts[:, 1]
+
+
+def _pure_moments(tables: SampleTables) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample moments tr(X^k)/N of A and of B, k = 0 through the longest word.
+
+    The pure word X^k is the necklace of order k with one block, so each
+    moment is a column of the raw trace table (the empty word gives k = 0),
+    which lists its words by length.
+    """
+    return tuple(tables.traces[:, [j for j, w in enumerate(tables.words)
+                                   if w.blocks in ((), ((letter, w.length),))]]
+                 for letter in (0, 1))
+
+
+def _order_sums(words, columns: np.ndarray) -> np.ndarray:
+    """Per order k, the sum over the words w of length k of mult(w) times column w.
+
+    The mult(w) rotations of a necklace w share its trace, so on the raw
+    traces this gives the moments tr((A + B)^k)/N, and on their |means| the
+    sum |x_i| whose gamma_n multiple bounds the rounding of that sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 4.2).
+    """
+    lengths = np.array([w.length for w in words])
+    weights = np.array([w.multiplicity() if w.length else 1 for w in words], dtype=float)
+    return np.stack([(columns[..., lengths == k] * weights[lengths == k]).sum(axis=-1)
+                     for k in range(lengths.max() + 1)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -184,74 +208,54 @@ class DensityEstimate:
         return float(_trapz(self.values, self.grid))
 
 
-def _pure_moments(tables: SampleTables, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample moments tr(X^k)/N, k = 0..order, of A and of B.
-
-    The pure word X^k is the necklace of order k with one block, so each
-    moment is a column of the raw trace table (the empty word gives k = 0).
-    """
-    column = {word: j for j, word in enumerate(tables.words)}
-    return tuple(tables.traces[:, [column[Word(((letter, k),))] for k in range(order + 1)]]
-                 for letter in (0, 1))
-
-
 def _table_words(order: int) -> list[Word]:
     """The trace table's columns: the empty word, then the necklaces of orders 1..order."""
     return [Word.empty()] + [n.word for k in range(1, order + 1) for n in word_expansion(k, 2)]
 
 
-def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
-                  level: float, word_floor: np.ndarray,
-                  sampled=(None, None)) -> list[MomentRow]:
+def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, level: float,
+                  floors: np.ndarray, sampled=(None, None)) -> list[MomentRow]:
     """Per-order comparison of the estimated sum moments with the free prediction.
 
-    The test statistic is the difference between the Monte Carlo mean and
-    the prediction computed from the estimated pure moments; its standard
-    error is a leave-one-out jackknife over samples, recomputing the
-    prediction each time, which keeps the large cancellation between the
-    two correlated sides.  The full-sample means and the t leave-one-out
-    means form one replicate table, so a single batched ``free_convolve``
-    call yields the point prediction and every jackknife replicate.  A
-    statistic whose leave-one-out replicates are all equal has SE exactly 0,
-    where the rounding of their mean would leave a spread of a few ulps.
-    The order-k floor is ``word_floor[k]``, the largest floor of a mixed
-    word of length k (A^k and B^k cancel in expectation), plus 1e-12
-    sqrt(mu_2k(A + B)), which bounds the mean |eigenvalue|^k that the
-    moments' rounding scales with.  ``sampled`` holds the moment estimates
-    of the free-rotated and permuted sums, each None if not drawn.
+    Row i of ``m_a``, ``m_b`` and ``m_s`` holds sample i's moments of A, B
+    and A + B through order K.  The test statistic is the difference
+    between the Monte Carlo mean and the prediction computed from the
+    estimated pure moments; its standard error is a leave-one-out jackknife
+    over samples, recomputing the prediction each time, which keeps the
+    large cancellation between the two correlated sides.  One batched
+    ``free_convolve`` call over the full-sample and leave-one-out means
+    yields the prediction and every replicate.  Replicates that are all
+    equal give SE exactly 0, where the rounding of their mean would leave a
+    few ulps.  The order-k difference is tested against ``floors[k]``.  The
+    estimate's SE is ``column_stats``, as is each (mean, SE) in ``sampled``,
+    the free-rotated and permuted sums' moments (None if not drawn).
     """
-    t = m_a.shape[0]
-    summed = MomentEstimate.from_table(m_s, order)
-
-    def replicates(m):
-        # column 0: full-sample means; column i: means without sample i - 1
-        m = m[:, : order + 1]
-        return np.column_stack([m.mean(axis=0), ((m.sum(axis=0) - m) / (t - 1)).T])
-
-    rep_a, rep_b, rep_s = replicates(m_a), replicates(m_b), replicates(m_s)
+    t, width = m_s.shape
+    # column 0: full-sample means; column i: means without sample i - 1
+    rep_a, rep_b, rep_s = (np.column_stack([m.mean(axis=0), ((m.sum(axis=0) - m) / (t - 1)).T])
+                           for m in (m_a, m_b, m_s))
     convolved = free_convolve([1, *rep_a[1:]], [1, *rep_b[1:]])
     rep_pred = np.array([rep_a[0], *convolved[1:]])
     rep_diff = rep_s - rep_pred
-    predicted, diffs = rep_pred[:, 0], rep_diff[:, 0]
+    estimate, predicted, diffs = rep_s[:, 0], rep_pred[:, 0], rep_diff[:, 0]
 
     loo = np.stack([rep_diff[:, 1:], rep_pred[:, 1:]])
     spread = ((loo - loo.mean(axis=2, keepdims=True)) ** 2).sum(axis=2)
     spread[(loo == loo[..., :1]).all(axis=2)] = 0.0
     diff_se, pred_se = np.sqrt((t - 1) / t * spread)
 
-    floors = word_floor + _ROUNDING_RTOL * np.sqrt(m_s.mean(axis=0)[: 2 * order + 1: 2])
-    require_finite(np.stack([summed.values, summed.se, predicted, pred_se, diffs, diff_se,
-                             floors]), "moment statistic", range(order + 1))
-    tests = _tests(rep_diff[:, 1:], diffs, diff_se, floors, "moment difference",
-                   range(order + 1))
+    se = column_stats(m_s)[1]
+    require_finite(np.stack([estimate, se, predicted, pred_se, diffs, diff_se, floors]),
+                   "moment statistic", range(width))
+    tests = _tests(rep_diff[:, 1:], diffs, diff_se, floors, "moment difference", range(width))
     free, classical = sampled
     rows = []
-    for k in range(1, order + 1):
+    for k in range(1, width):
         z, p_value = tests[k]
         rows.append(MomentRow(
             order=k,
-            estimate=float(summed.values[k]),
-            se=float(summed.se[k]),
+            estimate=float(estimate[k]),
+            se=float(se[k]),
             predicted_free=float(predicted[k]),
             predicted_free_se=float(pred_se[k]),
             diff=float(diffs[k]),
@@ -259,10 +263,10 @@ def _moment_stage(m_a: np.ndarray, m_b: np.ndarray, m_s: np.ndarray, order: int,
             z=z,
             p_value=p_value,
             reject=p_value < level,
-            sampled_free=float(free.values[k]) if free else None,
-            sampled_free_se=float(free.se[k]) if free else None,
-            sampled_classical=float(classical.values[k]) if classical else None,
-            sampled_classical_se=float(classical.se[k]) if classical else None,
+            sampled_free=float(free[0][k]) if free else None,
+            sampled_free_se=float(free[1][k]) if free else None,
+            sampled_classical=float(classical[0][k]) if classical else None,
+            sampled_classical_se=float(classical[1][k]) if classical else None,
         ))
     return rows
 
@@ -376,26 +380,26 @@ def _detect(tables: SampleTables, order: int, alpha: float):
     budget alpha is split evenly between the stages, Bonferroni-corrected
     within each (K moment tests; all cyclic terms through order K).
 
-    Both stages test against the word floors.  Returns the DegreeResult
-    plus the word scan, from which callers build the report rows of the
-    degree.
+    Both stages read the raw trace table alone, through order K.  The
+    order-k moment floor is the largest floor of a mixed word of length k
+    (A^k and B^k cancel in expectation) plus 1e-12 times the bound on the
+    rounding of its word sum.  Returns the DegreeResult and the word scan.
     """
-    m_s = per_sample_moments(tables.sums, 2 * order)
-    require_finite(m_s, "moment of A + B", range(2 * order + 1))
-    pure = _pure_moments(tables, order)
+    pure = _pure_moments(tables)
     mu = [m.mean(axis=0) for m in pure]
     floors = _word_floors(tables.words, *mu)
     mixed = [j for j, w in enumerate(tables.words) if not w.is_pure]
     word_floor = np.zeros(order + 1)
     np.maximum.at(word_floor, [tables.words[j].length for j in mixed], floors[mixed])
-    sampled = [estimate_moments(pool, order) if pool is not None else None
+    rounding = _ROUNDING_RTOL * _order_sums(tables.words, np.abs(tables.traces.mean(axis=0)))
+    sampled = [column_stats(per_sample_moments(pool, order)) if pool is not None else None
                for pool in (tables.free_pool, tables.classical_pool)]
-    rows = _moment_stage(*pure, m_s, order, alpha / (2 * order), word_floor, sampled)
+    rows = _moment_stage(*pure, _order_sums(tables.words, tables.traces),
+                         alpha / (2 * order), word_floor + rounding, sampled)
     scan = _WordScan(tables, mu, floors)
     for what, est in zip(("rotated", "permuted"), sampled):
         if est is not None:
-            require_finite(np.stack([est.values, est.se]), f"{what}-sum moment",
-                           range(order + 1))
+            require_finite(np.stack(est), f"{what}-sum moment", range(order + 1))
     word_level = alpha / (2 * (len(tables.words) - 1))
     degree = None
     triggered_by = None
@@ -426,8 +430,7 @@ def detect_degree(samples, order: int, alpha: float, threads: int = 1) -> Degree
         raise ConfigError(f"need a scan order >= 2, got {order}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    tables = _sample_words(samples.__getitem__, len(samples), samples[0].dimension, order,
-                           threads, with_sums=True)
+    tables = _sample_words(samples.__getitem__, len(samples), samples[0].dimension, order, threads)
     with np.errstate(**_QUIET):
         return _detect(tables, order, alpha)[0]
 
@@ -451,7 +454,7 @@ def localize_violations(samples, degree: int, alpha: float,
         raise ConfigError("need samples")
     tables = _sample_words(samples.__getitem__, len(samples), samples[0].dimension, degree,
                            threads)
-    mu = [m.mean(axis=0) for m in _pure_moments(tables, tables.words[-1].length)]
+    mu = [m.mean(axis=0) for m in _pure_moments(tables)]
     with np.errstate(**_QUIET):
         return _WordScan(tables, mu, _word_floors(tables.words, *mu)).rows(degree, alpha)
 
@@ -764,7 +767,8 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
     spec = config.ensemble
     order = config.order
     tables = _sample_words(lambda i: sample_pair(spec, i), config.sample_count,
-                           spec.dimension, order, config.threads, with_sums=True,
+                           spec.dimension, order, config.threads,
+                           with_sums=config.include_exact_sum,
                            seed=spec.seed, free_rotations=config.free_rotations,
                            with_classical=config.include_classical)
     with np.errstate(**_QUIET):
@@ -790,9 +794,8 @@ def run_analysis(config: AnalysisConfig) -> FreenessReport:
         else:
             delta_mu = degree_result.rows[degree - 1].diff
 
-    sum_pool = tables.sums if config.include_exact_sum else None
     densities = _density_section(config, degree, delta_mu, tables.free_pool,
-                                 sum_pool, tables.classical_pool, notes)
+                                 tables.sums, tables.classical_pool, notes)
     if not config.include_exact_sum:
         notes.append("exact-sum sampling disabled; f_sum density omitted")
     if not config.include_classical:

@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         p.add_argument("--no-exact-sum", action="store_true",
-                       help="omit the exact sum's density f_sum")
+                       help="omit the exact sum's density f_sum and its eigensolves")
         p.add_argument("--no-classical", action="store_true",
                        help="skip the permutation-paired spectrum")
 

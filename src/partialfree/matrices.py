@@ -375,11 +375,12 @@ def sample_classical_sum_spectrum(pair: MatrixPairSample,
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Monte Carlo moment estimates with the standard-error estimate
+    """Moment estimates of ``estimate_moments``, with its pooled standard error
 
     SE(mu_k) = sqrt((mu_{2k} - mu_k^2) / t),
 
-    which needs sample moments through twice the requested order.
+    which needs sample moments through twice the requested order.  The
+    report's moment rows take ``column_stats`` of the per-sample moments.
     """
 
     values: np.ndarray
@@ -389,15 +390,6 @@ class MomentEstimate:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "se", np.asarray(self.se, dtype=float))
-
-    @classmethod
-    def from_table(cls, table: np.ndarray, order: int) -> "MomentEstimate":
-        """Column means of a per-sample moment table through order 2 * order, with SEs."""
-        mean = table.mean(axis=0)
-        t = table.shape[0]
-        variance = np.array([mean[2 * k] - mean[k] ** 2 for k in range(order + 1)])
-        se = np.sqrt(np.maximum(0.0, variance) / t)
-        return cls(mean[: order + 1], se, t)
 
 
 def per_sample_moments(eigenvalues: np.ndarray, order: int) -> np.ndarray:
@@ -414,10 +406,11 @@ def per_sample_moments(eigenvalues: np.ndarray, order: int) -> np.ndarray:
 
 
 def estimate_moments(spectra, order: int) -> MomentEstimate:
-    """Spectral moments mu_0..mu_order averaged over samples, with SEs.
+    """Spectral moments mu_0..mu_order averaged over samples, with pooled SEs.
 
     ``spectra`` is a (t, N) array, one spectrum per row, or a sequence of
-    spectra (``SpectrumSample`` or 1-D arrays).
+    spectra (``SpectrumSample`` or 1-D arrays).  The SE pools every
+    eigenvalue of every sample (``MomentEstimate``).
     """
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
@@ -430,7 +423,9 @@ def estimate_moments(spectra, order: int) -> MomentEstimate:
             s.eigenvalues if isinstance(s, SpectrumSample) else np.asarray(s, dtype=float)
             for s in spectra
         ])
-    return MomentEstimate.from_table(per_sample_moments(eigs, 2 * order), order)
+    mean = per_sample_moments(eigs, 2 * order).mean(axis=0)
+    variance = np.maximum(0.0, mean[: 2 * order + 1: 2] - mean[: order + 1] ** 2)
+    return MomentEstimate(mean[: order + 1], np.sqrt(variance / len(eigs)), len(eigs))
 
 
 # ---------------------------------------------------------------------------

@@ -480,11 +480,17 @@ def test_detect_degree_rotation_pair_none():
 
 
 def test_detect_degree_pauli_deterministic():
+    # A + B is the adjacency of the n-cycle: below order n its closed walks
+    # number 0 at odd k and C(k, k/2) at even k, and every sample agrees
     for half in (3, 4):
         spec = EnsembleSpec.pauli_block_pair(2 * half)
         samples = [sample_pair(spec, i) for i in range(30)]
         result = detect_degree(samples, 2 * half, 0.01)
         assert result.degree == 2 * half
+        for row in result.rows[:result.degree - 1]:
+            k = row.order
+            assert row.se == 0.0, k
+            assert row.estimate == (math.comb(k, k // 2) if k % 2 == 0 else 0), k
 
 
 def test_detect_degree_validation():
@@ -566,6 +572,51 @@ def test_scans_refuse_threads_below_one(scan, threads):
     samples = [sample_pair(spec, i) for i in range(40)]
     with pytest.raises(ConfigError, match="need threads >= 1"):
         scan(samples, 4, 0.01, threads=threads)
+
+
+@pytest.mark.parametrize("variant", ["example19", "goe", "mixed-file"])
+def test_sum_moments_from_the_word_columns_match_the_spectra(variant, tmp_path):
+    # tr((A + B)^k)/N summed over the table's necklaces of length k, each
+    # once per rotation, is the k-th power sum of the spectrum of A + B
+    from partialfree.analysis import _order_sums, _sample_words
+    from partialfree.matrices import per_sample_moments
+
+    if variant == "mixed-file":
+        _mixed_pair_file(tmp_path / "pairs.jsonl")
+        spec, t, order = EnsembleSpec.from_file(str(tmp_path / "pairs.jsonl")), 23, 6
+    else:
+        spec = {"example19": EnsembleSpec.tridiagonal_adjacency(24, seed=7, circulant=True),
+                "goe": EnsembleSpec.goe(16, seed=9)}[variant]
+        t, order = 30, 8
+    pairs = [sample_pair(spec, i) for i in range(t)]
+    tables = _sample_words(pairs.__getitem__, t, spec.dimension, order, 1)
+    words = _order_sums(tables.words, tables.traces)
+    spectra = per_sample_moments(np.stack([np.linalg.eigvalsh(p.a + p.b) for p in pairs]),
+                                 order)
+    assert words.shape == spectra.shape == (t, order + 1)
+    # within 1e-13 of each order's largest moment (6e-15 measured)
+    assert (np.abs(words - spectra) <= 1e-13 * np.abs(spectra).max(axis=0)).all()
+
+
+def test_scans_without_f_sum_draw_no_sum_spectrum(monkeypatch):
+    # the statistics read the word columns alone; the spectrum of A + B is
+    # drawn only for its density
+    from partialfree import analysis
+
+    asked = []
+    real = analysis.sample_tables
+    monkeypatch.setattr(analysis, "sample_tables",
+                        lambda *args, **kwargs: asked.append(kwargs.get("with_sums", False))
+                        or real(*args, **kwargs))
+    spec = EnsembleSpec.goe(6, seed=3)
+    result = detect_degree([sample_pair(spec, i) for i in range(30)], 4, 0.01)
+    assert len(result.rows) == 4
+    report = run_analysis(AnalysisConfig(ensemble=spec, sample_count=30, order=4,
+                                         include_exact_sum=False))
+    assert report.densities["f_sum"] is None
+    assert asked == [False, False]
+    run_analysis(AnalysisConfig(ensemble=spec, sample_count=30, order=4))
+    assert asked == [False, False, True]
 
 
 def test_localize_violations_runs_no_eigensolve(monkeypatch):
@@ -725,10 +776,10 @@ def test_batched_jackknife_matches_per_replicate_loop(variant, order):
     t = 40
     pairs = [sample_pair(spec, i) for i in range(t)]
     m_a, m_b, m_s = (per_sample_moments(np.stack([np.linalg.eigvalsh(m) for m in mats]),
-                                        2 * order)
+                                        order)
                      for mats in ([p.a for p in pairs], [p.b for p in pairs],
                                   [p.a + p.b for p in pairs]))
-    rows = _moment_stage(m_a, m_b, m_s, order, 0.01, np.zeros(order + 1))
+    rows = _moment_stage(m_a, m_b, m_s, 0.01, np.zeros(order + 1))
 
     # the per-replicate loop of acceptance criterion 07, plus the sum side
     predicted = np.array(free_convolve(m_a.mean(axis=0)[: order + 1].tolist(),
@@ -767,9 +818,10 @@ def test_word_table_rejects_dimension_mismatch():
 def test_pipeline_classical_moments_match_public_sampler():
     # the pass's permuted-sum and free-rotated spectra (stacked rotations,
     # eigenvalues once per diagonal or fixed matrix) must equal what the
-    # public one-pair samplers draw from the same per-index streams
-    from partialfree.matrices import (_CLASSICAL_STREAM, _FREE_STREAM, estimate_moments,
-                                      sample_classical_sum_spectrum,
+    # public one-pair samplers draw from the same per-index streams; the
+    # report's moments and SEs are column_stats of their per-sample moments
+    from partialfree.matrices import (_CLASSICAL_STREAM, _FREE_STREAM, column_stats,
+                                      per_sample_moments, sample_classical_sum_spectrum,
                                       sample_free_sum_spectrum, stream)
 
     for spec in (EnsembleSpec.goe(6, seed=12), EnsembleSpec.tridiagonal_adjacency(10, seed=14),
@@ -777,16 +829,19 @@ def test_pipeline_classical_moments_match_public_sampler():
         config = AnalysisConfig(ensemble=spec, sample_count=30, order=4, alpha=0.01)
         report = run_analysis(config)
         pairs = [sample_pair(spec, i) for i in range(config.sample_count)]
-        want = estimate_moments([sample_classical_sum_spectrum(
-            p, stream(spec.seed, i, _CLASSICAL_STREAM)) for i, p in enumerate(pairs)],
-            config.order)
-        free = estimate_moments([sample_free_sum_spectrum(
-            p, stream(spec.seed, i, _FREE_STREAM, 0)) for i, p in enumerate(pairs)],
-            config.order)
+
+        def moments(draw):
+            spectra = np.stack([draw(i, p).eigenvalues for i, p in enumerate(pairs)])
+            return column_stats(per_sample_moments(spectra, config.order))
+
+        want = moments(lambda i, p: sample_classical_sum_spectrum(
+            p, stream(spec.seed, i, _CLASSICAL_STREAM)))
+        free = moments(lambda i, p: sample_free_sum_spectrum(
+            p, stream(spec.seed, i, _FREE_STREAM, 0)))
         for row in report.moments:
-            assert row.sampled_classical == float(want.values[row.order]), spec.variant
-            assert row.sampled_classical_se == float(want.se[row.order]), spec.variant
-            assert row.sampled_free == float(free.values[row.order]), spec.variant
+            assert row.sampled_classical == float(want[0][row.order]), spec.variant
+            assert row.sampled_classical_se == float(want[1][row.order]), spec.variant
+            assert row.sampled_free == float(free[0][row.order]), spec.variant
 
 
 def _mixed_pair_file(path, n=5, t=23, seed=61):

@@ -282,7 +282,7 @@ def test_analyze_repeated_pair_keeps_se_zero(tmp_path, capsys, threads):
     assert payload["degree"] == 2
     assert [w["word"] for w in payload["words"] if w["flagged_free"]] == ["AB"]
     for row in payload["moments"]:
-        assert row["diff_se"] == row["predicted_free_se"] == 0.0
+        assert row["se"] == row["diff_se"] == row["predicted_free_se"] == 0.0
     for row in payload["words"]:
         assert row["se"] == row["centered_se"] == 0.0
 
@@ -386,7 +386,9 @@ def test_scan_is_invariant_under_rescaling_the_pairs(tmp_path, capsys, kind, n, 
     # at 1e-150 the order-1 difference is rounding noise within its floor,
     # which the test never reads the SE of; order 2 is the first it reads
     (1e-150, 1e-150, "moment difference at order 2"),
-    (1e-300, 1e-300, "moment difference at order 1"),
+    # at 1e-300 the order-1 difference is rounding within its floor as well,
+    # and the centered word of order 1 is the first statistic the test reads
+    (1e-300, 1e-300, "centered word statistic at order 1"),
     # B^2 fluctuates at 1e-200, beyond squaring, but its centered word lies
     # within its floor; order 3 holds the first word the test reads
     (1.0, 1e-100, "centered word statistic at order 3"),
