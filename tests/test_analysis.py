@@ -577,17 +577,19 @@ def test_scans_refuse_threads_below_one(scan, threads):
 @pytest.mark.parametrize("variant", ["example19", "goe", "mixed-file"])
 def test_sum_moments_from_the_word_columns_match_the_spectra(variant, tmp_path):
     # tr((A + B)^k)/N summed over the table's necklaces of length k, each
-    # once per rotation, is the k-th power sum of the spectrum of A + B
+    # once per rotation, is the k-th power sum of the spectrum of A + B; the
+    # moment rows report its means and their column_stats SEs
     from partialfree.analysis import _order_sums, _sample_words
-    from partialfree.matrices import per_sample_moments
+    from partialfree.matrices import column_stats, per_sample_moments
 
+    t = 30
     if variant == "mixed-file":
-        _mixed_pair_file(tmp_path / "pairs.jsonl")
-        spec, t, order = EnsembleSpec.from_file(str(tmp_path / "pairs.jsonl")), 23, 6
+        _mixed_pair_file(tmp_path / "pairs.jsonl", t=t)
+        spec, order = EnsembleSpec.from_file(str(tmp_path / "pairs.jsonl")), 6
     else:
         spec = {"example19": EnsembleSpec.tridiagonal_adjacency(24, seed=7, circulant=True),
                 "goe": EnsembleSpec.goe(16, seed=9)}[variant]
-        t, order = 30, 8
+        order = 8
     pairs = [sample_pair(spec, i) for i in range(t)]
     tables = _sample_words(pairs.__getitem__, t, spec.dimension, order, 1)
     words = _order_sums(tables.words, tables.traces)
@@ -596,6 +598,9 @@ def test_sum_moments_from_the_word_columns_match_the_spectra(variant, tmp_path):
     assert words.shape == spectra.shape == (t, order + 1)
     # within 1e-13 of each order's largest moment (6e-15 measured)
     assert (np.abs(words - spectra) <= 1e-13 * np.abs(spectra).max(axis=0)).all()
+    rows = detect_degree(pairs, order, 0.01).rows
+    assert [row.estimate for row in rows] == words.mean(axis=0)[1:].tolist()
+    assert [row.se for row in rows] == column_stats(words)[1][1:].tolist()
 
 
 def test_scans_without_f_sum_draw_no_sum_spectrum(monkeypatch):
@@ -842,6 +847,7 @@ def test_pipeline_classical_moments_match_public_sampler():
             assert row.sampled_classical == float(want[0][row.order]), spec.variant
             assert row.sampled_classical_se == float(want[1][row.order]), spec.variant
             assert row.sampled_free == float(free[0][row.order]), spec.variant
+            assert row.sampled_free_se == float(free[1][row.order]), spec.variant
 
 
 def _mixed_pair_file(path, n=5, t=23, seed=61):
